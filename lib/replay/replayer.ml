@@ -494,10 +494,12 @@ let replay_shard r source (bk : Trace_io.buckets) ~shard =
             : outcome)
       done
 
-let replay_shard_render r source (bk : Trace_io.buckets) ~shard rd buf =
+(* Replays one shard, rendering each record's row into [buf] and its end
+   offset into [ends] (one slot per record of the shard). *)
+let replay_shard_render r source (bk : Trace_io.buckets) ~shard rd buf ends =
+  let idx = bk.Trace_io.seqs.(shard) in
   match source with
   | Trace_io.Packed tr ->
-      let idx = bk.Trace_io.seqs.(shard) in
       let addrs = tr.Trace_io.addrs and meta = tr.Trace_io.meta in
       for k = 0 to Array.length idx - 1 do
         let i = Array.unsafe_get idx k in
@@ -506,10 +508,10 @@ let replay_shard_render r source (bk : Trace_io.buckets) ~shard rd buf =
         and write = m land 1 = 1
         and addr = Array.unsafe_get addrs i in
         let o = step r ~tid ~write ~addr in
-        rd buf ~seq:i ~tid ~write ~addr o
+        rd buf ~seq:i ~tid ~write ~addr o;
+        Array.unsafe_set ends k (Buffer.length buf)
       done
   | Trace_io.Mapped mp ->
-      let idx = bk.Trace_io.seqs.(shard) in
       let offs = bk.Trace_io.offs.(shard) in
       for k = 0 to Array.length offs - 1 do
         let off = Array.unsafe_get offs k in
@@ -518,29 +520,82 @@ let replay_shard_render r source (bk : Trace_io.buckets) ~shard rd buf =
         and write = m land 1 = 1
         and addr = Trace_io.off_addr mp off in
         let o = step r ~tid ~write ~addr in
-        rd buf ~seq:(Array.unsafe_get idx k) ~tid ~write ~addr o
+        rd buf ~seq:(Array.unsafe_get idx k) ~tid ~write ~addr o;
+        Array.unsafe_set ends k (Buffer.length buf)
       done
 
-(* Merge per-shard row buffers back into original trace order: record [i]'s
-   row is the next unconsumed row of shard [shard_of.(i)] (each shard
-   rendered its records in ascending [i], so a per-shard cursor suffices). *)
-let merge_rows (bk : Trace_io.buckets) outs n ~emit =
+(* Merges the per-shard rows back into trace order.  Row [k] of shard [s]
+   is the extent [ends.(s).(k-1) .. ends.(s).(k)) of [outs.(s)] (from 0
+   for [k = 0]), so a render may write any number of lines, none
+   included.  Each shard rendered its records in ascending trace index,
+   so a run of consecutive records of one shard is one contiguous extent:
+   it is blitted into a reused slab, emitted each time the slab fills. *)
+let merge_rows shard_of outs ends ~emit =
   let ns = Array.length outs in
-  let cur = Array.make ns 0 in
-  let ob = Buffer.create flush_bytes in
-  for i = 0 to n - 1 do
-    let s = Char.code (Bytes.unsafe_get bk.Trace_io.shard_of i) in
-    let rows = Array.unsafe_get outs s in
-    let c = Array.unsafe_get cur s in
-    let j = String.index_from rows c '\n' in
-    Buffer.add_substring ob rows c (j - c + 1);
-    Array.unsafe_set cur s (j + 1);
-    if Buffer.length ob >= flush_bytes then begin
-      emit (Buffer.contents ob);
-      Buffer.clear ob
-    end
-  done;
-  if Buffer.length ob > 0 then emit (Buffer.contents ob)
+  let rows = Array.make ns 0 in
+  let taken = Array.make ns 0 in
+  let slab = Bytes.create flush_bytes in
+  let fill = ref 0 in
+  let copy s =
+    let k = rows.(s) in
+    let stop = if k = 0 then 0 else ends.(s).(k - 1) in
+    let pos = ref taken.(s) in
+    while !pos < stop do
+      let len = min (stop - !pos) (flush_bytes - !fill) in
+      Buffer.blit outs.(s) !pos slab !fill len;
+      pos := !pos + len;
+      fill := !fill + len;
+      if !fill = flush_bytes then begin
+        emit (Bytes.to_string slab);
+        fill := 0
+      end
+    done;
+    taken.(s) <- stop
+  in
+  let n = Bytes.length shard_of in
+  if n > 0 then begin
+    let run = ref (Char.code (Bytes.unsafe_get shard_of 0)) in
+    for i = 0 to n - 1 do
+      let s = Char.code (Bytes.unsafe_get shard_of i) in
+      if s <> !run then begin
+        copy !run;
+        run := s
+      end;
+      Array.unsafe_set rows s (Array.unsafe_get rows s + 1)
+    done;
+    copy !run
+  end;
+  if !fill > 0 then emit (Bytes.sub_string slab 0 !fill)
+
+(* Bytes per row to pre-size the shard buffers: one probe row, the trace's
+   last record missing to memory with a dirty L1 and L2 victim.  Most rows
+   are shorter; a buffer that still outgrows its estimate just grows. *)
+let probe_row_bytes r source (bk : Trace_io.buckets) rd =
+  let n = Trace_io.source_length source in
+  if n = 0 then 0
+  else begin
+    let meta, addr =
+      match source with
+      | Trace_io.Packed tr ->
+          (tr.Trace_io.meta.(n - 1), tr.Trace_io.addrs.(n - 1))
+      | Trace_io.Mapped mp ->
+          (* record [n - 1] is the last of its shard *)
+          let s = Char.code (Bytes.get bk.Trace_io.shard_of (n - 1)) in
+          let offs = bk.Trace_io.offs.(s) in
+          let off = offs.(Array.length offs - 1) in
+          (Trace_io.off_meta mp off, Trace_io.off_addr mp off)
+    in
+    let victim = ((addr lsr r.line_shift) lsl 2) lor st_m in
+    let o =
+      {
+        level = 3; cycles = r.lat_mem; l1_victim = victim; l2_victim = victim;
+        l3_victim = -1; writebacks = 0; invalidations = 0; c2c = false;
+      }
+    in
+    let b = Buffer.create 256 in
+    rd b ~seq:(n - 1) ~tid:(meta lsr 1) ~write:(meta land 1 = 1) ~addr o;
+    Buffer.length b
+  end
 
 let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
     source =
@@ -566,20 +621,28 @@ let run_sharded ?jobs ?bits ?render ?(emit = fun (_ : string) -> ()) cfg
       Trace_io.bucket source
         ~line_shift:(Cacti_util.Floatx.clog2 cfg.line_bytes) ~bits:m
     in
-    let sums = Array.make ns empty_summary in
-    let outs = Array.make ns "" in
+    (* Every large block of the pass is allocated here, on the calling
+       domain, before the pool spawns: blocks that short-lived helper
+       domains allocate stay in their per-thread malloc arenas after the
+       domains exit, and peak RSS climbs run after run. *)
+    let rs = Array.init ns (fun _ -> create cfg) in
     let pool = Cacti_util.Pool.create ~jobs:jobs_n () in
-    Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
-        let r = create cfg in
-        (match render with
-        | None -> replay_shard r source bk ~shard:s
-        | Some rd ->
-            let buf = Buffer.create flush_bytes in
-            replay_shard_render r source bk ~shard:s rd buf;
-            outs.(s) <- Buffer.contents buf);
-        sums.(s) <- summary r);
     (match render with
-    | None -> ()
-    | Some _ -> merge_rows bk outs (Trace_io.source_length source) ~emit);
-    (Array.fold_left add_summary empty_summary sums, diags)
+    | None ->
+        Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
+            replay_shard rs.(s) source bk ~shard:s)
+    | Some rd ->
+        let row_bytes = probe_row_bytes rs.(0) source bk rd in
+        let count s = Array.length bk.Trace_io.seqs.(s) in
+        let outs =
+          Array.init ns (fun s -> Buffer.create (max 1 (count s * row_bytes)))
+        in
+        let ends = Array.init ns (fun s -> Array.make (count s) 0) in
+        Cacti_util.Pool.run_chunked ~chunk:1 pool ns (fun s ->
+            replay_shard_render rs.(s) source bk ~shard:s rd outs.(s) ends.(s));
+        merge_rows bk.Trace_io.shard_of outs ends ~emit);
+    let total =
+      Array.fold_left (fun acc r -> add_summary acc (summary r)) empty_summary rs
+    in
+    (total, diags)
   end

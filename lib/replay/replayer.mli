@@ -132,8 +132,10 @@ val shard_plan : config -> bits:int -> (int, Cacti_util.Diag.t) result
 
 type render =
   Buffer.t -> seq:int -> tid:int -> write:bool -> addr:int -> outcome -> unit
-(** Renders one per-access row (newline-terminated) into the buffer; [seq]
-    is the original 0-based trace index.  [Report.append_csv_row] /
+(** Renders one access's row into the buffer; [seq] is the original
+    0-based trace index.  Whatever one call appends is that access's row —
+    usually one newline-terminated line, but any number of lines (none
+    included) merges back correctly.  [Report.append_csv_row] /
     [append_jsonl_row] partially applied fit this shape. *)
 
 val run_sharded :
@@ -149,8 +151,11 @@ val run_sharded :
     [jobs] to [Pool.default_jobs ()]).  Rendered rows are merged back into
     original trace order and streamed through [emit] in ~64 KB slabs, so
     output is byte-identical to a serial replay for {e any} [jobs]/[bits].
-    When the plan resolves to 0 bits (including the [shard_unsupported]
-    fallback, returned in the diag list) the serial path runs verbatim. *)
+    A sharded pass holds the bucket index, one replayer per shard and, when
+    rendering, every shard's rows, all allocated on the calling domain
+    before the helper domains start.  When the plan resolves to 0 bits
+    (including the [shard_unsupported] fallback, returned in the diag
+    list) the serial path runs verbatim. *)
 
 val replay_shard : t -> Trace_io.source -> Trace_io.buckets -> shard:int -> unit
 (** Replays only the records of one shard into [t] (no rendering).

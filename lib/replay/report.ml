@@ -19,58 +19,102 @@ let reason (o : Replayer.outcome) =
   then "cold"
   else "evict"
 
-let append_victims b ~line_bytes (o : Replayer.outcome) =
-  let any = ref false in
-  let one lvl packed =
-    if packed >= 0 then begin
-      if !any then Buffer.add_char b ';';
-      any := true;
-      Printf.bprintf b "%s:0x%x:%c" lvl
-        (victim_addr line_bytes packed)
-        (if victim_dirty packed then 'd' else 'c')
-    end
-  in
-  one "L1" o.Replayer.l1_victim;
-  one "L2" o.Replayer.l2_victim;
-  one "L3" o.Replayer.l3_victim;
-  if not !any then Buffer.add_char b '-'
+(* Digits go straight into the buffer, most significant first, so a row
+   costs no [Printf] format interpretation and allocates nothing.  The
+   decimal recursion runs on non-positive values so [min_int] needs no
+   special case; the hex one uses [lsr], which prints a negative value as
+   its 63-bit pattern exactly like [%x]. *)
+let rec add_dec_neg b v =
+  if v <= -10 then add_dec_neg b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (v mod 10)))
+
+let add_dec b v =
+  if v < 0 then begin
+    Buffer.add_char b '-';
+    add_dec_neg b v
+  end
+  else add_dec_neg b (-v)
+
+let rec add_hex_digits b v =
+  if v lsr 4 <> 0 then add_hex_digits b (v lsr 4);
+  Buffer.add_char b (String.unsafe_get "0123456789abcdef" (v land 15))
+
+let add_hex b v =
+  Buffer.add_string b "0x";
+  add_hex_digits b v
+
+let add_op b write = Buffer.add_char b (if write then 'W' else 'R')
+
+(* One victim as [LVL:0xADDR:c|d]; [any] says whether one was already
+   written (so a [;] separates them).  Returns the new [any]. *)
+let csv_victim b ~line_bytes lvl packed any =
+  if packed < 0 then any
+  else begin
+    if any then Buffer.add_char b ';';
+    Buffer.add_string b lvl;
+    Buffer.add_char b ':';
+    add_hex b (victim_addr line_bytes packed);
+    Buffer.add_string b (if victim_dirty packed then ":d" else ":c");
+    true
+  end
 
 let append_csv_row b ~seq ~tid ~write ~addr ~line_bytes
     (o : Replayer.outcome) =
-  Printf.bprintf b "%d,%d,%c,0x%x,%s,%d," seq tid
-    (if write then 'W' else 'R')
-    addr
-    (level_name o.Replayer.level)
-    o.Replayer.cycles;
-  append_victims b ~line_bytes o;
+  add_dec b seq;
+  Buffer.add_char b ',';
+  add_dec b tid;
+  Buffer.add_char b ',';
+  add_op b write;
+  Buffer.add_char b ',';
+  add_hex b addr;
+  Buffer.add_char b ',';
+  Buffer.add_string b (level_name o.Replayer.level);
+  Buffer.add_char b ',';
+  add_dec b o.Replayer.cycles;
+  Buffer.add_char b ',';
+  let any = csv_victim b ~line_bytes "L1" o.Replayer.l1_victim false in
+  let any = csv_victim b ~line_bytes "L2" o.Replayer.l2_victim any in
+  if not (csv_victim b ~line_bytes "L3" o.Replayer.l3_victim any) then
+    Buffer.add_char b '-';
   Buffer.add_char b ',';
   Buffer.add_string b (reason o);
   Buffer.add_char b '\n'
 
+let jsonl_victim b ~line_bytes lvl packed any =
+  if packed < 0 then any
+  else begin
+    if any then Buffer.add_char b ',';
+    Buffer.add_string b {|{"level":"|};
+    Buffer.add_string b lvl;
+    Buffer.add_string b {|","addr":"|};
+    add_hex b (victim_addr line_bytes packed);
+    Buffer.add_string b
+      (if victim_dirty packed then {|","dirty":true}|}
+       else {|","dirty":false}|});
+    true
+  end
+
 let append_jsonl_row b ~seq ~tid ~write ~addr ~line_bytes
     (o : Replayer.outcome) =
-  Printf.bprintf b
-    {|{"seq":%d,"tid":%d,"op":"%c","addr":"0x%x","level":"%s","cycles":%d,"victims":[|}
-    seq tid
-    (if write then 'W' else 'R')
-    addr
-    (level_name o.Replayer.level)
-    o.Replayer.cycles;
-  let any = ref false in
-  let one lvl packed =
-    if packed >= 0 then begin
-      if !any then Buffer.add_char b ',';
-      any := true;
-      Printf.bprintf b {|{"level":"%s","addr":"0x%x","dirty":%b}|} lvl
-        (victim_addr line_bytes packed)
-        (victim_dirty packed)
-    end
-  in
-  one "L1" o.Replayer.l1_victim;
-  one "L2" o.Replayer.l2_victim;
-  one "L3" o.Replayer.l3_victim;
-  Printf.bprintf b {|],"reason":"%s"}|} (reason o);
-  Buffer.add_char b '\n'
+  Buffer.add_string b {|{"seq":|};
+  add_dec b seq;
+  Buffer.add_string b {|,"tid":|};
+  add_dec b tid;
+  Buffer.add_string b {|,"op":"|};
+  add_op b write;
+  Buffer.add_string b {|","addr":"|};
+  add_hex b addr;
+  Buffer.add_string b {|","level":"|};
+  Buffer.add_string b (level_name o.Replayer.level);
+  Buffer.add_string b {|","cycles":|};
+  add_dec b o.Replayer.cycles;
+  Buffer.add_string b {|,"victims":[|};
+  let any = jsonl_victim b ~line_bytes "L1" o.Replayer.l1_victim false in
+  let any = jsonl_victim b ~line_bytes "L2" o.Replayer.l2_victim any in
+  ignore (jsonl_victim b ~line_bytes "L3" o.Replayer.l3_victim any : bool);
+  Buffer.add_string b {|],"reason":"|};
+  Buffer.add_string b (reason o);
+  Buffer.add_string b "\"}\n"
 
 open Cacti_util
 

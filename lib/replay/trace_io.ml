@@ -306,6 +306,17 @@ let iter_mapped mp ~f =
     done
   done
 
+(* [f i o] for every record index [i] and its byte offset [o], in trace
+   order: index and offset advance together chunk by chunk. *)
+let iter_chunks mp f =
+  for c = 0 to Array.length mp.chunk_off - 1 do
+    let first = mp.chunk_first.(c) in
+    let o0 = mp.chunk_off.(c) - (first * record_bytes) in
+    for i = first to mp.chunk_first.(c + 1) - 1 do
+      f i (o0 + (i * record_bytes))
+    done
+  done
+
 (* ---------------- in-memory traces ---------------- *)
 
 type packed = { n : int; addrs : int array; meta : int array }
@@ -385,6 +396,10 @@ type buckets = {
 
 let max_shard_bits = 8
 
+(* A two-pass counting sort.  Pass 1 assigns every record its shard (the
+   first touch of a mapped record, so it validates) and counts per shard;
+   pass 2 walks [shard_of] alone and scatters indices — and, for [Mapped],
+   byte offsets recomputed from the chunk table — into exact-size arrays. *)
 let bucket source ~line_shift ~bits =
   if bits < 1 || bits > max_shard_bits then
     invalid_arg "Trace_io.bucket: bits must be in 1..8";
@@ -392,62 +407,43 @@ let bucket source ~line_shift ~bits =
   let mask = ns - 1 in
   let n = source_length source in
   let shard_of = Bytes.create n in
-  let push tab len s v =
-    let a = tab.(s) in
-    let l = len.(s) in
-    let a =
-      if l = Array.length a then begin
-        let b = Array.make (2 * l) 0 in
-        Array.blit a 0 b 0 l;
-        tab.(s) <- b;
-        b
-      end
-      else a
-    in
-    Array.unsafe_set a l v;
-    len.(s) <- l + 1
+  let counts = Array.make ns 0 in
+  let assign i addr =
+    let s = (addr lsr line_shift) land mask in
+    Bytes.unsafe_set shard_of i (Char.unsafe_chr s);
+    Array.unsafe_set counts s (Array.unsafe_get counts s + 1)
   in
-  let seqs = Array.init ns (fun _ -> Array.make 16 0) in
-  let seq_len = Array.make ns 0 in
-  match source with
+  (match source with
   | Packed tr ->
       for i = 0 to n - 1 do
-        let s = (Array.unsafe_get tr.addrs i lsr line_shift) land mask in
-        Bytes.unsafe_set shard_of i (Char.unsafe_chr s);
-        push seqs seq_len s i
-      done;
-      {
-        b_bits = bits;
-        shard_of;
-        seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 seq_len.(s));
-        offs = Array.make ns [||];
-      }
+        assign i (Array.unsafe_get tr.addrs i)
+      done
   | Mapped mp ->
-      let offs = Array.init ns (fun _ -> Array.make 16 0) in
-      let off_len = Array.make ns 0 in
-      (* One validating pass: record index and byte offset advance
-         together chunk by chunk. *)
-      for c = 0 to Array.length mp.chunk_off - 1 do
-        let first = mp.chunk_first.(c) in
-        let count = mp.chunk_first.(c + 1) - first in
-        let o = ref mp.chunk_off.(c) in
-        for k = 0 to count - 1 do
-          let i = first + k in
-          ignore (checked_flags mp i !o : int);
-          let addr = checked_addr mp i !o in
-          let s = (addr lsr line_shift) land mask in
-          Bytes.unsafe_set shard_of i (Char.unsafe_chr s);
-          push seqs seq_len s i;
-          push offs off_len s !o;
-          o := !o + record_bytes
-        done
-      done;
-      {
-        b_bits = bits;
-        shard_of;
-        seqs = Array.init ns (fun s -> Array.sub seqs.(s) 0 seq_len.(s));
-        offs = Array.init ns (fun s -> Array.sub offs.(s) 0 off_len.(s));
-      }
+      iter_chunks mp (fun i o ->
+          ignore (checked_flags mp i o : int);
+          assign i (checked_addr mp i o)));
+  let exact () = Array.map (fun c -> Array.make c 0) counts in
+  let seqs = exact () in
+  let offs =
+    match source with Packed _ -> Array.make ns [||] | Mapped _ -> exact ()
+  in
+  let fill = Array.make ns 0 in
+  let place i o =
+    let s = Char.code (Bytes.unsafe_get shard_of i) in
+    let k = Array.unsafe_get fill s in
+    Array.unsafe_set (Array.unsafe_get seqs s) k i;
+    (match source with
+    | Packed _ -> ()
+    | Mapped _ -> Array.unsafe_set (Array.unsafe_get offs s) k o);
+    Array.unsafe_set fill s (k + 1)
+  in
+  (match source with
+  | Packed _ ->
+      for i = 0 to n - 1 do
+        place i 0
+      done
+  | Mapped mp -> iter_chunks mp place);
+  { b_bits = bits; shard_of; seqs; offs }
 
 (* ---------------- writers ---------------- *)
 

@@ -146,10 +146,11 @@ val max_shard_bits : int
 (** 8 — shard ids must fit a byte. *)
 
 val bucket : source -> line_shift:int -> bits:int -> buckets
-(** One pass over [source] assigning record [i] to shard
-    [(addr lsr line_shift) land (2^bits - 1)] and collecting each shard's
-    record indices (and, for [Mapped], byte offsets) in trace order.
-    For [Mapped] sources this pass also validates every record
+(** Assigns record [i] to shard [(addr lsr line_shift) land (2^bits - 1)]
+    and collects each shard's record indices (and, for [Mapped], byte
+    offsets) in trace order, in arrays of exactly the shard's size (a
+    counting sort: one pass over [source], one over [shard_of]).  For
+    [Mapped] sources the first pass also validates every record
     ({!Parse_error} as in {!iter_mapped}).  [bits] must be in
     [1 .. max_shard_bits]. *)
 

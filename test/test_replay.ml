@@ -508,6 +508,121 @@ let test_map_malformed () =
       | () -> Alcotest.failf "%s: accepted" name)
     cases
 
+(* ------------------------- shard bucketing ------------------------- *)
+
+(* The naive model of [Trace_io.bucket]: shard ids, each shard's record
+   indices in ascending order, and — for a binary trace written by
+   [Trace_io.open_writer] — each record's byte offset in the file. *)
+let naive_bucket recs ~line_shift ~bits =
+  let ns = 1 lsl bits in
+  let shard_of =
+    Array.map (fun (_, _, addr) -> (addr lsr line_shift) land (ns - 1)) recs
+  in
+  let seqs =
+    Array.init ns (fun s ->
+        List.filter (fun i -> shard_of.(i) = s)
+          (List.init (Array.length recs) Fun.id)
+        |> Array.of_list)
+  in
+  (* magic (8) + version (4), then before each chunk of 65536 records a
+     4-byte count *)
+  let offset i = 12 + (4 * ((i / 65536) + 1)) + (11 * i) in
+  (shard_of, seqs, Array.map (Array.map offset) seqs)
+
+let check_bucket name recs source ~line_shift ~bits =
+  let bk = Trace_io.bucket source ~line_shift ~bits in
+  let shard_of, seqs, offs = naive_bucket recs ~line_shift ~bits in
+  Alcotest.(check (array int)) (name ^ " shard_of") shard_of
+    (Array.init (Bytes.length bk.Trace_io.shard_of) (fun i ->
+         Char.code (Bytes.get bk.Trace_io.shard_of i)));
+  Alcotest.(check (array (array int))) (name ^ " seqs") seqs bk.Trace_io.seqs;
+  match source with
+  | Trace_io.Packed _ ->
+      Alcotest.(check (array (array int))) (name ^ " offs")
+        (Array.make (1 lsl bits) [||]) bk.Trace_io.offs
+  | Trace_io.Mapped mp ->
+      Alcotest.(check (array (array int))) (name ^ " offs") offs
+        bk.Trace_io.offs;
+      (* and every offset decodes to its record *)
+      Array.iteri
+        (fun s idx ->
+          Array.iteri
+            (fun k i ->
+              let tid, write, addr = recs.(i) in
+              let o = bk.Trace_io.offs.(s).(k) in
+              if
+                Trace_io.off_meta mp o <> (tid lsl 1) lor Bool.to_int write
+                || Trace_io.off_addr mp o <> addr
+              then Alcotest.failf "%s: record %d decodes wrong" name i)
+            idx)
+        bk.Trace_io.seqs
+
+let test_bucket_model () =
+  (* 70 000 records: two writer chunks, so the mapped offsets cross a
+     chunk header *)
+  let spread =
+    Array.init 70_000 (fun i ->
+        (i land 7, i land 3 = 0, (i * 2654435761) land 0xFFFFFFFFFF))
+  in
+  (* every record falls in one shard at each (line_shift, bits) below *)
+  let one_shard =
+    Array.init 3_000 (fun i -> (i land 1, i land 1 = 1, (((i * 8) + 5) lsl 6)))
+  in
+  List.iter
+    (fun (name, recs) ->
+      let packed = Trace_io.Packed (Trace_io.of_records recs) in
+      let mapped = Trace_io.load_source (write_binary_trace recs) in
+      List.iter
+        (fun (line_shift, bits) ->
+          let tag = Printf.sprintf "%s shift %d bits %d" name line_shift bits in
+          check_bucket (tag ^ " packed") recs packed ~line_shift ~bits;
+          check_bucket (tag ^ " mapped") recs mapped ~line_shift ~bits)
+        [ (6, 1); (6, 3); (0, 8) ])
+    [ ("empty", [||]); ("spread", spread); ("one shard", one_shard) ]
+
+(* A malformed record is refused by [bucket] — its first full pass — with
+   exactly the error [iter_mapped] gives. *)
+let test_bucket_malformed () =
+  let recs = Array.init 70_000 (fun i -> (0, false, i * 64)) in
+  let good = write_binary_trace recs in
+  let bytes =
+    let ic = open_in_bin good in
+    let b = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Bytes.of_string b
+  in
+  let corrupt name pos byte =
+    let b = Bytes.copy bytes in
+    Bytes.set b pos (Char.chr byte);
+    let path = tmp_file ".crtb" in
+    let oc = open_out_bin path in
+    output_bytes oc b;
+    close_out oc;
+    let err f =
+      match f () with
+      | exception (Trace_io.Parse_error _ as e) -> e
+      | () -> Alcotest.failf "%s: accepted" name
+    in
+    let via_iter =
+      err (fun () ->
+          Trace_io.iter_mapped (Trace_io.map_binary path)
+            ~f:(fun ~tid:_ ~write:_ ~addr:_ -> ()))
+    in
+    let via_bucket =
+      err (fun () ->
+          ignore
+            (Trace_io.bucket (Trace_io.load_source path) ~line_shift:6 ~bits:2
+              : Trace_io.buckets))
+    in
+    Alcotest.(check string) name (Printexc.to_string via_iter)
+      (Printexc.to_string via_bucket)
+  in
+  (* record 66 000 sits in the second chunk *)
+  let rec_off i = 12 + (4 * ((i / 65536) + 1)) + (11 * i) in
+  corrupt "bad flags" (rec_off 66_000) 0x04;
+  corrupt "oversized address" (rec_off 66_000 + 10) 0xFF;
+  corrupt "bad flags, first chunk" (rec_off 17) 0x80
+
 let prop_packed_roundtrip =
   QCheck.Test.make ~name:"of_records/iter_packed roundtrips" ~count:100
     gen_records (fun recs ->
@@ -677,6 +792,127 @@ let test_replayer_bad_geometry () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-pow2 Tree-PLRU associativity accepted"
 
+(* ------------------------- per-access rows ------------------------- *)
+
+(* The [Printf] encoders the row writers replaced, kept as the reference
+   their output must equal byte for byte. *)
+module Printf_rows = struct
+  let victims b ~line_bytes ~sep ~one (o : Replayer.outcome) =
+    let any = ref false in
+    List.iter
+      (fun (lvl, packed) ->
+        if packed >= 0 then begin
+          if !any then Buffer.add_char b sep;
+          any := true;
+          one lvl ((packed lsr 2) * line_bytes) (packed land 3 = 3)
+        end)
+      [ ("L1", o.Replayer.l1_victim); ("L2", o.Replayer.l2_victim);
+        ("L3", o.Replayer.l3_victim) ];
+    !any
+
+  let level = function 0 -> "L1" | 1 -> "L2" | 2 -> "L3" | _ -> "MEM"
+
+  let reason (o : Replayer.outcome) =
+    if o.Replayer.level = 0 then "hit"
+    else if
+      o.Replayer.l1_victim < 0 && o.Replayer.l2_victim < 0
+      && o.Replayer.l3_victim < 0
+    then "cold"
+    else "evict"
+
+  let csv b ~seq ~tid ~write ~addr ~line_bytes (o : Replayer.outcome) =
+    Printf.bprintf b "%d,%d,%c,0x%x,%s,%d," seq tid
+      (if write then 'W' else 'R')
+      addr (level o.Replayer.level) o.Replayer.cycles;
+    if
+      not
+        (victims b ~line_bytes ~sep:';' o ~one:(fun lvl a d ->
+             Printf.bprintf b "%s:0x%x:%c" lvl a (if d then 'd' else 'c')))
+    then Buffer.add_char b '-';
+    Printf.bprintf b ",%s\n" (reason o)
+
+  let jsonl b ~seq ~tid ~write ~addr ~line_bytes (o : Replayer.outcome) =
+    Printf.bprintf b
+      {|{"seq":%d,"tid":%d,"op":"%c","addr":"0x%x","level":"%s","cycles":%d,"victims":[|}
+      seq tid
+      (if write then 'W' else 'R')
+      addr (level o.Replayer.level) o.Replayer.cycles;
+    ignore
+      (victims b ~line_bytes ~sep:',' o ~one:(fun lvl a d ->
+           Printf.bprintf b {|{"level":"%s","addr":"0x%x","dirty":%b}|} lvl a d)
+        : bool);
+    Printf.bprintf b {|],"reason":"%s"}|} (reason o);
+    Buffer.add_char b '\n'
+end
+
+let outcome ~level ~cycles (v1, v2, v3) =
+  {
+    Replayer.level; cycles; l1_victim = v1; l2_victim = v2; l3_victim = v3;
+    writebacks = 0; invalidations = 0; c2c = false;
+  }
+
+let prop_row_encoders =
+  let open QCheck.Gen in
+  let max_addr = Trace_io.max_addr in
+  (* small values, boundaries, powers of two, the full range, and
+     negatives (which the replayer never produces; the encoders still
+     match [%d] and [%x] on them) *)
+  let wide =
+    frequency
+      [ (3, int_range 0 15); (3, int_range 0 max_addr); (1, return max_addr);
+        (3, map (fun k -> (1 lsl k) - 1) (int_range 1 62));
+        (1, int_range min_int (-1)) ]
+  in
+  let line_bytes = oneofl [ 1; 8; 64; 128; 4096 ] in
+  (* absent, or a line with its MESI state (3 = dirty) *)
+  let victim lb =
+    oneof
+      [ return (-1);
+        map2 (fun a st -> ((a / lb) lsl 2) lor st) wide (int_range 0 3) ]
+  in
+  let gen =
+    line_bytes >>= fun lb ->
+    tup4 (tup4 wide wide bool wide) (int_range 0 3) wide
+      (triple (victim lb) (victim lb) (victim lb))
+    >|= fun r -> (lb, r)
+  in
+  QCheck.Test.make ~name:"row encoders = Printf reference" ~count:2000
+    (QCheck.make gen)
+    (fun (line_bytes, ((seq, tid, write, addr), level, cycles, vs)) ->
+      let o = outcome ~level ~cycles vs in
+      let render f =
+        let b = Buffer.create 64 in
+        f b ~seq ~tid ~write ~addr ~line_bytes o;
+        Buffer.contents b
+      in
+      String.equal (render Report.append_csv_row) (render Printf_rows.csv)
+      && String.equal
+           (render Report.append_jsonl_row)
+           (render Printf_rows.jsonl))
+
+(* Rows go straight into a pre-sized buffer: no per-row allocation. *)
+let test_row_encoders_alloc () =
+  let n = 10_000 in
+  let outcomes =
+    Array.init n (fun i ->
+        let v k =
+          if (i lsr k) land 1 = 0 then -1 else ((i * 977) lsl 2) lor (i land 3)
+        in
+        outcome ~level:(i land 3) ~cycles:(i * 7) (v 0, v 1, v 2))
+  in
+  List.iter
+    (fun (name, append) ->
+      let b = Buffer.create (n * 256) in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        append b ~seq:i ~tid:(i land 7) ~write:(i land 1 = 1)
+          ~addr:(i * 0x1234567) ~line_bytes:64 outcomes.(i)
+      done;
+      let per_row = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_row >= 0.5 then
+        Alcotest.failf "%s: %.2f minor words per row" name per_row)
+    [ ("csv", Report.append_csv_row); ("jsonl", Report.append_jsonl_row) ]
+
 (* ------------------------- sharded replay -------------------------- *)
 
 let with_policy p cores cfg =
@@ -790,6 +1026,106 @@ let test_sharded_all_policies () =
         [ 1; 2; 4 ])
     all_policies
 
+let run_sharded_render ?jobs ?bits ~render cfg source =
+  let b = Buffer.create 4096 in
+  let s, _ =
+    Replayer.run_sharded ?jobs ?bits ~render ~emit:(Buffer.add_string b) cfg
+      source
+  in
+  (Buffer.contents b, s)
+
+(* Rows are delimited by the extents each render call wrote, not by
+   newlines: renders writing no line, several lines, no newline or a row
+   longer than one 64 KB output slab all merge back to the serial
+   stream. *)
+let test_sharded_render_extents () =
+  let recs = synthetic_records 3_000 in
+  let cfg = small_config in
+  let line_bytes = cfg.Replayer.line_bytes in
+  let csv b ~seq ~tid ~write ~addr o =
+    Report.append_csv_row b ~seq ~tid ~write ~addr ~line_bytes o
+  in
+  let renders : (string * Replayer.render) list =
+    [
+      ("empty", fun _ ~seq:_ ~tid:_ ~write:_ ~addr:_ _ -> ());
+      ( "two lines",
+        fun b ~seq ~tid ~write ~addr o ->
+          csv b ~seq ~tid ~write ~addr o;
+          Printf.bprintf b "# after %d\n" seq );
+      ( "0, 1 or 2 lines",
+        fun b ~seq ~tid ~write ~addr o ->
+          for _ = 1 to seq mod 3 do
+            csv b ~seq ~tid ~write ~addr o
+          done );
+      ( "no newline",
+        fun b ~seq ~tid:_ ~write:_ ~addr:_ o ->
+          Printf.bprintf b "%d:%d " seq o.Replayer.cycles );
+      ( "rows longer than a slab",
+        fun b ~seq ~tid ~write ~addr o ->
+          if seq mod 1000 = 7 then Buffer.add_string b (String.make 70_000 'x');
+          csv b ~seq ~tid ~write ~addr o );
+    ]
+  in
+  let sources =
+    [
+      ("packed", Trace_io.Packed (Trace_io.of_records recs));
+      ("mapped", Trace_io.load_source (write_binary_trace recs));
+    ]
+  in
+  List.iter
+    (fun (rname, render) ->
+      List.iter
+        (fun (sname, source) ->
+          let serial, serial_sum =
+            run_sharded_render ~jobs:1 ~bits:0 ~render cfg source
+          in
+          if rname = "empty" then
+            Alcotest.(check string) "empty render writes nothing" "" serial;
+          List.iter
+            (fun (jobs, bits) ->
+              let name =
+                Printf.sprintf "%s/%s jobs %d bits %d" rname sname jobs bits
+              in
+              let out, sum =
+                run_sharded_render ~jobs ~bits ~render cfg source
+              in
+              Alcotest.(check bool) (name ^ " summary") true (sum = serial_sum);
+              Alcotest.(check string) name serial out)
+            [ (1, 2); (2, 1); (4, 2) ])
+        sources)
+    renders
+
+(* Sharded JSONL is byte-identical to a serial JSONL replay. *)
+let test_sharded_jsonl () =
+  let recs = synthetic_records 3_000 in
+  let cfg = small_config in
+  let line_bytes = cfg.Replayer.line_bytes in
+  let serial =
+    let r = Replayer.create cfg in
+    let b = Buffer.create 4096 in
+    Array.iteri
+      (fun seq (tid, write, addr) ->
+        Report.append_jsonl_row b ~seq ~tid ~write ~addr ~line_bytes
+          (Replayer.step r ~tid ~write ~addr))
+      recs;
+    Buffer.contents b
+  in
+  let render b ~seq ~tid ~write ~addr o =
+    Report.append_jsonl_row b ~seq ~tid ~write ~addr ~line_bytes o
+  in
+  List.iter
+    (fun (sname, source) ->
+      List.iter
+        (fun jobs ->
+          let out, _ = run_sharded_render ~jobs ~render cfg source in
+          Alcotest.(check string) (Printf.sprintf "%s jobs %d" sname jobs)
+            serial out)
+        [ 1; 4 ])
+    [
+      ("packed", Trace_io.Packed (Trace_io.of_records recs));
+      ("mapped", Trace_io.load_source (write_binary_trace recs));
+    ]
+
 let prop_sharded_identity =
   let gen =
     QCheck.(
@@ -849,6 +1185,9 @@ let () =
           Alcotest.test_case "mapped malformed" `Quick test_map_malformed;
           Alcotest.test_case "convert missing output dir" `Quick
             test_convert_output_dir;
+          Alcotest.test_case "bucket = naive model" `Quick test_bucket_model;
+          Alcotest.test_case "bucket refuses malformed records" `Quick
+            test_bucket_malformed;
           QCheck_alcotest.to_alcotest
             (prop_writer_roundtrip Trace_io.Text "text writer roundtrips");
           QCheck_alcotest.to_alcotest
@@ -867,6 +1206,9 @@ let () =
             test_replay_golden;
           Alcotest.test_case "bad geometry rejected" `Quick
             test_replayer_bad_geometry;
+          QCheck_alcotest.to_alcotest prop_row_encoders;
+          Alcotest.test_case "row encoders allocate nothing" `Quick
+            test_row_encoders_alloc;
         ] );
       ( "sharded replay",
         [
@@ -875,6 +1217,9 @@ let () =
             test_sharded_fallback;
           Alcotest.test_case "all policies, all core counts" `Quick
             test_sharded_all_policies;
+          Alcotest.test_case "rows delimited by extents" `Quick
+            test_sharded_render_extents;
+          Alcotest.test_case "JSONL equals serial" `Quick test_sharded_jsonl;
           QCheck_alcotest.to_alcotest prop_sharded_identity;
         ] );
     ]
