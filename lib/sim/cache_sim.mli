@@ -8,11 +8,13 @@
     The per-access entry points come in two flavors: the boxed API
     ({!access}, {!fill}, {!probe}) used by tests and exploratory code, and
     the unboxed [_int]/[_packed] API the engine's hot loop uses, which
-    returns sentinel-encoded ints and allocates nothing.  Replacement
-    metadata lives in pre-sized int arrays (per-way stamps/ages/bits and a
-    per-set word for the Tree-PLRU bits or the QLRU R1 pointer), so every
-    policy keeps the access path allocation-free; the default-LRU victim
-    scan is the historical code, bit-for-bit. *)
+    returns sentinel-encoded ints and allocates nothing but one block on
+    each set's first fill.  That block holds the set's ways and
+    replacement metadata (per-way stamps/ages/bits and a per-set word for
+    the Tree-PLRU bits or the QLRU R1 pointer); until then the set reads a
+    shared empty block, so a cache's memory grows with the sets a run
+    touches rather than with its capacity.  The
+    default-LRU victim scan is the historical code, bit-for-bit. *)
 
 type state = I | S | E | M
 
@@ -25,11 +27,16 @@ type t
 
 val create : ?assoc:int -> ?policy:Policy.t -> lines:int -> unit -> t
 (** [lines] is the capacity in cache lines; [assoc] defaults to 8.  [lines]
-    must be divisible by [assoc]; the set count is rounded up to a power of
-    two (capacity is preserved by widening associativity on the last
-    doubling if needed).  [policy] (default {!Policy.Lru}) selects the
-    replacement policy; [Tree_plru] additionally requires the (possibly
-    widened) associativity to be a power of two, else [Invalid_argument]. *)
+    must be divisible by [assoc].  A set count [lines / assoc] that is not
+    a power of two is rounded down to one, and associativity is widened to
+    [lines / sets] to preserve capacity (24 lines at 8-way: 2 sets of 12
+    ways).  When [lines] is not a multiple of the rounded set count (6
+    lines at 1-way would leave 4 sets of 1.5 ways) the geometry is refused
+    with [Invalid_argument] naming it, never silently shrunk.  [policy]
+    (default {!Policy.Lru}) selects the replacement policy; [Tree_plru]
+    additionally requires the (possibly widened) associativity to be a
+    power of two, else [Invalid_argument].  Allocates O(sets) words; a
+    set's storage is allocated by its first fill. *)
 
 val lines : t -> int
 val assoc : t -> int

@@ -400,7 +400,7 @@ let make_sim ?make_gen ?(policies = lru_policies) cfg app params =
         ?powerdown:cfg.Machine.mem.Machine.powerdown
         ~policy:cfg.Machine.mem.Machine.policy
         ~timing:cfg.Machine.mem.Machine.timing ();
-    directory = Cacti_util.Intmap.create ~capacity:65536 ();
+    directory = Cacti_util.Intmap.create ();
     locks_free = Array.make (max 1 app.Workload.n_locks) 0;
     rng;
     residues = Array.make n_threads 0.;

@@ -80,26 +80,27 @@ let delete_at t i =
     end
   done
 
+(* Re-insert into a fresh table, where every key is distinct: take the
+   first empty slot of the probe chain.  Top-level like [scan], so a grow
+   allocates only the two new arrays. *)
+let rec insert keys vals mask k v i =
+  if Array.unsafe_get keys i = empty_key then begin
+    Array.unsafe_set keys i k;
+    Array.unsafe_set vals i v
+  end
+  else insert keys vals mask k v ((i + 1) land mask)
+
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = Array.length old_keys * 2 in
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
-  let keys = t.keys and vals = t.vals and mask = t.mask in
-  Array.iteri
-    (fun i k ->
-      if k <> empty_key then begin
-        let rec probe j =
-          if keys.(j) = empty_key then begin
-            keys.(j) <- k;
-            vals.(j) <- old_vals.(i)
-          end
-          else probe ((j + 1) land mask)
-        in
-        probe (slot t k)
-      end)
-    old_keys
+  for i = 0 to Array.length old_keys - 1 do
+    let k = Array.unsafe_get old_keys i in
+    if k <> empty_key then
+      insert t.keys t.vals t.mask k (Array.unsafe_get old_vals i) (slot t k)
+  done
 
 let set t k v =
   if v = 0 then begin

@@ -150,6 +150,209 @@ let prop_cache_occupancy_bounded =
         lines;
       Cache_sim.occupancy c <= 32)
 
+(* Geometry: a set count that is not a power of two rounds down and widens
+   associativity; a capacity the widened sets cannot hold exactly is
+   refused, never shrunk. *)
+let test_cache_geometry () =
+  List.iter
+    (fun (lines, assoc, sets, ways) ->
+      let c = Cache_sim.create ~assoc ~lines () in
+      let name = Printf.sprintf "%d lines %d-way" lines assoc in
+      Alcotest.(check (list int)) name [ sets; ways; lines ]
+        [ Cache_sim.sets c; Cache_sim.assoc c; Cache_sim.lines c ])
+    [ (24, 8, 2, 12); (96, 4, 16, 6); (64, 4, 16, 4); (8, 8, 1, 8) ];
+  List.iter
+    (fun (lines, assoc, sets, sets_raw) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d lines %d-way refused" lines assoc)
+        (Invalid_argument
+           (Printf.sprintf
+              "Cache_sim.create: %d lines at %d-way do not split into %d \
+               sets (%d rounded down to a power of two)"
+              lines assoc sets sets_raw))
+        (fun () -> ignore (Cache_sim.create ~assoc ~lines ())))
+    [ (6, 1, 4, 6); (10, 2, 4, 5); (20, 2, 8, 10) ]
+
+(* The per-set-block store against the flat-array reference model
+   ([Cache_sim_ref]): random operation sequences over every policy kind,
+   compared return value by return value, then by occupancy and the
+   dirty-line list (including its order). *)
+type cache_op =
+  | Access of int * bool * int  (** line, write, state to fill on a miss *)
+  | Set_state of int * int
+  | Probe of int
+
+let show_cache_op = function
+  | Access (l, w, s) -> Printf.sprintf "access %d %b/fill %d" l w s
+  | Set_state (l, s) -> Printf.sprintf "set %d %d" l s
+  | Probe l -> Printf.sprintf "probe %d" l
+
+let same_as_reference policy (lines, assoc) ops =
+  let c = Cache_sim.create ~assoc ~policy ~lines () in
+  let r = Cache_sim_ref.create ~assoc ~policy ~lines () in
+  List.for_all
+    (function
+      | Access (line, write, st) ->
+          let a = Cache_sim.access_int c ~line ~write in
+          a = Cache_sim_ref.access_int r ~line ~write
+          && (a >= 0
+             || Cache_sim.fill_packed c ~line ~state_int:st
+                = Cache_sim_ref.fill_packed r ~line ~state_int:st)
+      | Set_state (line, s) ->
+          Cache_sim.set_state_int c ~line s;
+          Cache_sim_ref.set_state_int r ~line s;
+          true
+      | Probe line ->
+          Cache_sim.probe_int c line = Cache_sim_ref.probe_int r line)
+    ops
+  && Cache_sim.occupancy c = Cache_sim_ref.occupancy r
+  && Cache_sim.dirty_lines c = Cache_sim_ref.dirty_lines r
+
+(* (lines, assoc): plain, widened (24/8 -> 2 x 12, 96/4 -> 16 x 6,
+   12/4 -> 2 x 6) and one-set geometries.  Tree-PLRU takes only the
+   power-of-two ones. *)
+let pow2_geometries = [ (32, 4); (16, 2); (8, 8); (4, 4); (1, 1) ]
+let widened_geometries = [ (24, 8); (96, 4); (12, 4); (3, 3) ]
+
+let gen_policy =
+  QCheck.Gen.(
+    oneof
+      [
+        return Policy.Lru;
+        return Policy.Tree_plru;
+        map
+          (fun (h2, h3, m, r, u) -> Policy.Qlru { h2; h3; m; r; u })
+          (tup5 (int_bound 3) (int_bound 3) (int_bound 3) (int_bound 1)
+             (int_bound 2));
+        return Policy.Mru;
+        return Policy.Mru_n;
+      ])
+
+let gen_reference_case =
+  QCheck.Gen.(
+    gen_policy >>= fun policy ->
+    oneofl
+      (if policy = Policy.Tree_plru then pow2_geometries
+       else pow2_geometries @ widened_geometries)
+    >>= fun ((lines, _) as geom) ->
+    let line = int_bound ((3 * lines) + 2) in
+    let op =
+      frequency
+        [
+          (6, map3 (fun l w s -> Access (l, w, s)) line bool (int_range 1 3));
+          (2, map2 (fun l s -> Set_state (l, s)) line (int_bound 3));
+          (1, map (fun l -> Probe l) line);
+        ]
+    in
+    list_size (int_range 1 300) op >|= fun ops -> (policy, geom, ops))
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"per-set blocks = flat-array reference model"
+    ~count:1000
+    (QCheck.make gen_reference_case
+       ~print:(fun (p, (lines, assoc), ops) ->
+         Printf.sprintf "%s %d lines %d-way: %s" (Policy.to_string p) lines
+           assoc (String.concat "; " (List.map show_cache_op ops))))
+    (fun (policy, geom, ops) -> same_as_reference policy geom ops)
+
+(* MRU_N's all-bits-set fallback, directed: after fills of 0 and 1 and a
+   hit on 0 every bit is set, so the fill of 2 clears them and evicts way
+   0. *)
+let test_cache_mru_n_fallback () =
+  let ops =
+    [ Access (0, false, 2); Access (1, false, 2); Access (0, false, 2) ]
+  in
+  Alcotest.(check bool) "matches reference" true
+    (same_as_reference Policy.Mru_n (2, 2) (ops @ [ Access (2, false, 2) ]));
+  let c = Cache_sim.create ~assoc:2 ~policy:Policy.Mru_n ~lines:2 () in
+  List.iter
+    (function
+      | Access (line, write, st) ->
+          if Cache_sim.access_int c ~line ~write < 0 then
+            ignore (Cache_sim.fill_packed c ~line ~state_int:st)
+      | _ -> ())
+    ops;
+  Alcotest.(check int) "way 0 (line 0, E) evicted" ((0 lsl 2) lor 2)
+    (Cache_sim.fill_packed c ~line:2 ~state_int:2)
+
+(* Allocation shape.  Words allocated by [f] on this domain, minor and
+   major, net of promotions and of the measurement's own boxes. *)
+let words_allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let w1 = words () in
+  f ();
+  let w2 = words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* The cm_dram_c L3 bank: 393 216 lines, 24-way, so 16 384 sets. *)
+let test_cache_allocation_shape () =
+  let lines = 393_216 and assoc = 24 in
+  let c = ref (Cache_sim.create ~assoc ~lines ()) in
+  let created =
+    words_allocated (fun () -> c := Cache_sim.create ~assoc ~lines ())
+  in
+  let c = !c in
+  let sets = Cache_sim.sets c in
+  Alcotest.(check int) "sets" 16_384 sets;
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates O(sets): %d words for %d sets" created
+       sets)
+    true
+    (created > sets && created <= sets + (4 * assoc) + 64);
+  let block = (2 * assoc) + 2 in
+  Alcotest.(check int) "first fill of a set allocates one block" block
+    (minor_words (fun () ->
+         ignore (Cache_sim.fill_packed c ~line:5 ~state_int:1)));
+  Alcotest.(check int) "refill of an owned set allocates nothing" 0
+    (minor_words (fun () ->
+         ignore (Cache_sim.fill_packed c ~line:(5 + sets) ~state_int:2)));
+  Alcotest.(check int) "lookups in never-filled sets allocate nothing" 0
+    (minor_words (fun () ->
+         for line = 6 to 4096 do
+           ignore (Cache_sim.access_int c ~line ~write:true);
+           ignore (Cache_sim.probe_int c line);
+           Cache_sim.set_state_int c ~line 0
+         done));
+  Alcotest.(check int) "only the two fills hold lines" 2
+    (Cache_sim.occupancy c);
+  (* Every policy kind: once the touched sets own their blocks, hits,
+     misses, fills with eviction, state changes and invalidate-then-refill
+     allocate nothing. *)
+  List.iter
+    (fun policy ->
+      let c = Cache_sim.create ~assoc:4 ~policy ~lines:64 () in
+      let sweep () =
+        for k = 0 to 4095 do
+          let line = (k * 7) land 127 in
+          if Cache_sim.access_int c ~line ~write:(k land 3 = 0) < 0 then
+            ignore (Cache_sim.fill_packed c ~line ~state_int:2);
+          if k land 15 = 0 then Cache_sim.set_state_int c ~line 0;
+          if k land 15 = 5 then Cache_sim.set_state_int c ~line 1;
+          ignore (Cache_sim.probe_int c (line + 1))
+        done
+      in
+      sweep ();
+      Alcotest.(check int)
+        (Printf.sprintf "%s steady state allocates nothing"
+           (Policy.to_string policy))
+        0 (minor_words sweep))
+    [
+      Policy.Lru; Policy.Tree_plru;
+      Policy.Qlru { h2 = 1; h3 = 1; m = 1; r = 1; u = 2 };
+      Policy.Mru; Policy.Mru_n;
+    ]
+
 (* -------------------- heap -------------------- *)
 
 let test_heap_orders () =
@@ -789,6 +992,11 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_set_state_invalidate;
           Alcotest.test_case "dirty lines" `Quick test_cache_dirty_lines;
           QCheck_alcotest.to_alcotest prop_cache_occupancy_bounded;
+          Alcotest.test_case "geometry" `Quick test_cache_geometry;
+          QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+          Alcotest.test_case "MRU_N fallback" `Quick test_cache_mru_n_fallback;
+          Alcotest.test_case "allocation shape" `Quick
+            test_cache_allocation_shape;
         ] );
       ( "heap",
         [

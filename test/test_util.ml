@@ -306,6 +306,38 @@ let test_intmap_grow () =
   Alcotest.(check bool) "all bindings survive growth" true !ok;
   Alcotest.(check bool) "capacity grew" true (Intmap.capacity m >= 1024)
 
+(* From the default capacity to 100 k keys: many grows, each of which
+   re-inserts every key without allocating per key. *)
+let test_intmap_grow_large () =
+  let n = 100_000 in
+  let m = Intmap.create () in
+  let w0 = Gc.minor_words () in
+  for k = 1 to n do
+    Intmap.set m (k * 13) k
+  done;
+  let minor = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "length" n (Intmap.length m);
+  let ok = ref true in
+  for k = 1 to n do
+    if Intmap.get m (k * 13) <> k then ok := false
+  done;
+  Alcotest.(check bool) "get after growth" true !ok;
+  let seen = ref 0 and sum = ref 0 in
+  Intmap.iter
+    (fun k v ->
+      incr seen;
+      sum := !sum + v;
+      if k <> v * 13 then ok := false)
+    m;
+  Alcotest.(check bool) "iter bindings" true !ok;
+  Alcotest.(check (pair int int)) "iter visits each binding once"
+    (n, n * (n + 1) / 2) (!seen, !sum);
+  (* Only the small tables of the first grows live on the minor heap; a
+     per-key allocation would cost several words per re-inserted key. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "grows allocate no per-key words (%.0f minor words)" minor)
+    true (minor < 4096.)
+
 (* Backward-shift deletion is the subtle part: interleave inserts and
    removes (many probe-chain collisions at small capacity) and require
    agreement with a Hashtbl model at every step's end state. *)
@@ -486,6 +518,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_intmap_basics;
           Alcotest.test_case "growth" `Quick test_intmap_grow;
+          Alcotest.test_case "growth to 100k keys" `Quick
+            test_intmap_grow_large;
           QCheck_alcotest.to_alcotest prop_intmap_model;
         ] );
       ( "interp",
