@@ -969,19 +969,26 @@ let () =
         usage ();
         exit 1
   in
-  let rec parse = function
+  (* Flags may come before, between or after the experiment names; all
+     of them apply to every experiment. *)
+  let rec parse cmds = function
+    | [] -> List.rev cmds
     | "--quick" :: rest ->
         instructions := 8_000_000;
-        parse rest
+        parse cmds rest
     | "--instructions" :: n :: rest ->
         instructions := int_arg "--instructions" n;
-        parse rest
+        parse cmds rest
     | "--jobs" :: n :: rest ->
         jobs := Some (int_arg "--jobs" n);
-        parse rest
-    | rest -> rest
+        parse cmds rest
+    | [ ("--instructions" | "--jobs") as flag ] ->
+        Printf.eprintf "%s expects an integer\n" flag;
+        usage ();
+        exit 1
+    | cmd :: rest -> parse (cmd :: cmds) rest
   in
-  match parse args with
+  match parse [] args with
   | [] -> all ()
   | cmds ->
       List.iter

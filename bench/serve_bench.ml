@@ -13,7 +13,11 @@
      design-space sweep (memo misses);
    - warm: the same specs again, many times over, so every request is
      answered from the Solve_cache memo table (the steady state of a
-     long-running daemon).
+     long-running daemon);
+
+   then times the warm admission path on its own ([warm_admit]): one full
+   request answered from the response cache by [Service.admit] — the
+   transports' entry point — plus the HTTP status of its reply.
 
    Per-request wall times are recorded exactly; p50/p90/p99 are order
    statistics over the sorted sample, not histogram estimates.  Results
@@ -101,6 +105,69 @@ let run_phase service lines =
     max_ms = (if n = 0 then 0. else lat.(n - 1));
   }
 
+(* A request as a sweep client sends it: every spec field spelled out and
+   default params (395 bytes). *)
+let warm_admit_line () =
+  let spec =
+    Cacti.Cache_spec.create
+      ~tech:(Cacti_tech.Technology.at_nm 45.)
+      ~capacity_bytes:(256 * 1024) ~assoc:8 ~n_banks:2 ~block_bytes:64 ()
+  in
+  Jsonx.to_string
+    (Protocol.encode_request
+       (Protocol.Solve
+          {
+            id = Jsonx.Int 123;
+            spec = Protocol.Cache spec;
+            params = Protocol.default_params;
+          }))
+
+type warm_admit = {
+  wa_requests : int;
+  wa_request_bytes : int;
+  wa_us : float;  (** per request *)
+  wa_minor_words : float;  (** per request *)
+}
+
+(* Admission plus status classification of a response-cache hit, in
+   process: the server-side CPU of a warm HTTP request minus the socket
+   reads and writes.  Fails when the reply is not a warm hit. *)
+let run_warm_admit service ~quick =
+  let line = warm_admit_line () in
+  ignore (Service.handle_line service line);
+  let last = ref (Service.Draining, "") in
+  let reply status body = last := (status, body) in
+  let once () =
+    Service.admit service ~reply line;
+    ignore (Sys.opaque_identity (Http.http_status (fst !last)))
+  in
+  for _ = 1 to 1000 do
+    once ()
+  done;
+  let n = if quick then 20_000 else 200_000 in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    once ()
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let hits =
+    Option.bind (Jsonx.parse (snd !last) |> Result.to_option) (fun r ->
+        Option.bind (Jsonx.member "timing" r) (Jsonx.member "cache_hits"))
+    |> Fun.flip Option.bind Jsonx.get_int
+  in
+  if fst !last <> Service.Answered || hits <> Some 2 then begin
+    prerr_endline "FAIL: warm_admit reply was not a response-cache hit";
+    exit 1
+  end;
+  {
+    wa_requests = n;
+    wa_request_bytes = String.length line;
+    wa_us = wall /. float_of_int n *. 1e6;
+    wa_minor_words = words /. float_of_int n;
+  }
+
 let phase_json p =
   Jsonx.Obj
     [
@@ -155,16 +222,27 @@ let () =
   let warm = run_phase service warm_lines in
   Printf.printf "warm: %.0f req/s, p50 %.3f ms, p99 %.3f ms\n%!" warm.rps
     warm.p50_ms warm.p99_ms;
+  let wa = run_warm_admit service ~quick:!quick in
+  Printf.printf "warm_admit: %.2f us, %.0f minor words per request\n%!"
+    wa.wa_us wa.wa_minor_words;
   let stats = Service.stats_json service in
   let doc =
     Jsonx.Obj
       [
-        ("schema_version", Jsonx.Int 1);
+        ("schema_version", Jsonx.Int 2);
         ("quick", Jsonx.Bool !quick);
         ( "jobs",
           match !jobs with Some j -> Jsonx.Int j | None -> Jsonx.Null );
         ("cold", phase_json cold);
         ("warm", phase_json warm);
+        ( "warm_admit",
+          Jsonx.Obj
+            [
+              ("requests", Jsonx.Int wa.wa_requests);
+              ("request_bytes", Jsonx.Int wa.wa_request_bytes);
+              ("us_per_request", Jsonx.num wa.wa_us);
+              ("minor_words_per_request", Jsonx.num wa.wa_minor_words);
+            ] );
         ("server_stats", stats);
       ]
   in

@@ -133,21 +133,26 @@ let reason_phrase = function
    the framing trivial and keep-alive safe. *)
 let write_response oc ~status ?(extra = []) ~keep_alive body =
   Chaos.fire "server.write";
-  let b = Buffer.create (256 + String.length body) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason_phrase status));
-  Buffer.add_string b "Content-Type: application/json\r\n";
-  Buffer.add_string b
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  Buffer.add_string b
-    (if keep_alive then "Connection: keep-alive\r\n"
-     else "Connection: close\r\n");
+  List.iter (output_string oc)
+    [
+      "HTTP/1.1 ";
+      string_of_int status;
+      " ";
+      reason_phrase status;
+      "\r\nContent-Type: application/json\r\nContent-Length: ";
+      string_of_int (String.length body);
+      (if keep_alive then "\r\nConnection: keep-alive\r\n"
+       else "\r\nConnection: close\r\n");
+    ];
   List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) ->
+      output_string oc k;
+      output_string oc ": ";
+      output_string oc v;
+      output_string oc "\r\n")
     extra;
-  Buffer.add_string b "\r\n";
-  Buffer.add_string b body;
-  output_string oc (Buffer.contents b);
+  output_string oc "\r\n";
+  output_string oc body;
   flush oc
 
 let error_body ~reason msg =
@@ -169,68 +174,53 @@ let error_body ~reason msg =
              ] );
        ])
 
-(* Map a service response line to an HTTP status so load balancers can
-   react without parsing the body: queue_full -> 429 (+ Retry-After),
-   draining -> 503; every other outcome — including per-request errors
-   like an invalid spec — is an in-band answer, hence 200.  Refusal
-   bodies are tiny; the substring guard keeps the common ok path from
-   paying a parse of a multi-kilobyte solution. *)
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let status_of_body body =
-  if not (contains_substring body "\"ok\":false") then (200, [])
-  else
-    match Jsonx.parse body with
-    | Error _ -> (200, [])
-    | Ok j -> (
-        let reason =
-          match Jsonx.member "diagnostics" j with
-          | Some (Jsonx.List (d :: _)) -> (
-              match Jsonx.member "reason" d with
-              | Some (Jsonx.String r) -> Some r
-              | _ -> None)
-          | _ -> None
-        in
-        match reason with
-        | Some "queue_full" ->
-            let retry_s =
-              match Jsonx.member "retry_after_ms" j with
-              | Some v -> (
-                  match Jsonx.get_float v with
-                  | Some ms -> int_of_float (Float.ceil (ms /. 1e3))
-                  | None -> 1)
-              | None -> 1
-            in
-            (429, [ ("Retry-After", string_of_int (max 1 retry_s)) ])
-        | Some "draining" -> (503, [])
-        | _ -> (200, []))
+(* Map a response's status to HTTP so load balancers can react without
+   parsing the body: queue_full -> 429 (+ Retry-After, whole seconds,
+   rounded up, at least 1), draining -> 503; every other outcome —
+   including per-request errors like an invalid spec — is an in-band
+   answer, hence 200.  The service hands the status over with the line,
+   so no body is scanned or parsed here. *)
+let http_status = function
+  | Service.Answered -> (200, [])
+  | Service.Draining -> (503, [])
+  | Service.Queue_full retry_ms ->
+      let retry_s =
+        if Float.is_finite retry_ms then
+          int_of_float (Float.ceil (retry_ms /. 1e3))
+        else 1
+      in
+      (429, [ ("Retry-After", string_of_int (max 1 retry_s)) ])
 
 (* ---------------------------- connection ---------------------------- *)
 
 (* Block the connection thread until the admitted job's response lands.
    HTTP/1.1 without pipelining is one exchange at a time per connection,
-   so a plain rendezvous is the whole synchronization story: [admit]'s
-   reply contract (called exactly once, possibly from a worker thread)
-   guarantees the wait terminates. *)
-let solve_via_queue service line =
-  let lock = Mutex.create () in
-  let cond = Condition.create () in
-  let cell = ref None in
+   so one rendezvous per connection serves all of its exchanges:
+   [admit]'s reply contract (called exactly once, possibly from a worker
+   thread) guarantees the wait terminates and that no reply of an earlier
+   exchange is still to land.  A warm hit replies before [admit]
+   returns, so its wait finds the cell already filled. *)
+type rendezvous = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable cell : (Service.status * string) option;
+}
+
+let solve_via_queue rv service line =
   Service.admit service
-    ~reply:(fun resp ->
-      Mutex.protect lock (fun () ->
-          cell := Some resp;
-          Condition.signal cond))
+    ~reply:(fun status body ->
+      Mutex.protect rv.lock (fun () ->
+          rv.cell <- Some (status, body);
+          Condition.signal rv.cond))
     line;
-  Mutex.protect lock (fun () ->
+  Mutex.protect rv.lock (fun () ->
       let rec wait () =
-        match !cell with
-        | Some resp -> resp
+        match rv.cell with
+        | Some resp ->
+            rv.cell <- None;
+            resp
         | None ->
-            Condition.wait cond lock;
+            Condition.wait rv.cond rv.lock;
             wait ()
       in
       wait ())
@@ -240,7 +230,7 @@ let healthz_body service =
     (503, {|{"status":"draining"}|})
   else (200, {|{"status":"ok"}|})
 
-let handle_request service oc req =
+let handle_request rv service oc req =
   let keep = keep_alive req in
   (match (req.meth, req.target) with
   | "POST", "/solve" ->
@@ -249,8 +239,8 @@ let handle_request service oc req =
         write_response oc ~status:400 ~keep_alive:keep
           (error_body ~reason:"bad_request" "empty request body")
       else begin
-        let body = solve_via_queue service line in
-        let status, extra = status_of_body body in
+        let status, body = solve_via_queue rv service line in
+        let status, extra = http_status status in
         write_response oc ~status ~extra ~keep_alive:keep body
       end
   | "GET", "/stats" ->
@@ -282,6 +272,7 @@ let handle_request service oc req =
 let serve_conn service fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
+  let rv = { lock = Mutex.create (); cond = Condition.create (); cell = None } in
   let rec loop () =
     match read_request ic oc with
     | `Eof -> ()
@@ -292,6 +283,6 @@ let serve_conn service fd =
     | `Bad msg ->
         write_response oc ~status:400 ~keep_alive:false
           (error_body ~reason:"bad_request" msg)
-    | `Req req -> if handle_request service oc req then loop ()
+    | `Req req -> if handle_request rv service oc req then loop ()
   in
   try loop () with Sys_error _ | Unix.Unix_error _ | End_of_file -> ()

@@ -50,10 +50,11 @@ val header_value : (string * string) list -> string -> string option
 val keep_alive : request -> bool
 (** Keep-alive per RFC 9112 defaults plus the [Connection] header. *)
 
-val status_of_body : string -> int * (string * string) list
-(** HTTP status + extra headers for a service response line: 200 unless
-    the first diagnostic is a [queue_full] (429, [Retry-After] from the
-    response's [retry_after_ms]) or [draining] (503) refusal. *)
+val http_status : Service.status -> int * (string * string) list
+(** HTTP status + extra headers for a service response: 200 for an
+    in-band answer, 429 with [Retry-After] (the response's
+    [retry_after_ms] in whole seconds, rounded up, at least 1) for a
+    [queue_full] refusal, 503 for [draining]. *)
 
 val read_request :
   in_channel ->

@@ -50,7 +50,7 @@ let handle_jsonl_conn t fd =
   (* One response line at a time per connection: workers race to answer,
      the mutex keeps their writes from interleaving mid-line. *)
   let wlock = Mutex.create () in
-  let reply line =
+  let reply _status line =
     try
       Mutex.protect wlock (fun () ->
           Chaos.fire "server.write";

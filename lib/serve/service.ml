@@ -40,12 +40,16 @@ type counters = {
   mutable comp_count : int;
 }
 
+type status = Answered | Queue_full of float | Draining
+
+let status_of_outcome = function `Draining -> Draining | _ -> Answered
+
 (* One admitted request, parsed exactly once at the transport edge. *)
 type job = {
   j_json : Jsonx.t;
   j_id : Jsonx.t;
   j_route : string;  (** canonical routing key, reused as the response-cache key *)
-  j_reply : string -> unit;
+  j_reply : status -> string -> unit;
   j_admitted : float;
   j_deadline : float;  (** absolute; [infinity] when no deadline *)
 }
@@ -170,13 +174,73 @@ let register_stats t name fn =
 
 (* ----------------------------- routing ------------------------------- *)
 
-(* The routing key of a request: the canonical (sorted-key) JSON of
-   everything that determines its solution — kind, spec, and params minus
-   the per-call knobs ([deadline_ms], [jobs]) that cannot change the
-   selected organization.  Computed from the raw parsed JSON so the fast
-   path never decodes a request; two spellings of the same spec that
-   differ in defaulted fields route independently (they deduplicate at
-   the Solve_cache fingerprint inside a shard). *)
+(* The routing key of a request: a canonical encoding of everything that
+   determines its solution — kind, spec, and params minus the per-call
+   knobs ([deadline_ms], [jobs]) that cannot change the selected
+   organization.  Computed from the raw parsed JSON so the fast path never
+   decodes a request; two spellings of the same spec that differ in
+   defaulted fields route independently (they deduplicate at the
+   Solve_cache fingerprint inside a shard).
+
+   The encoding is prefix-free per value, so concatenations of encodings
+   are injective: [n], [t], [f]; [i<decimal>;] for an int; [d] and the 16
+   hex digits of a float's IEEE-754 bits (never a decimal rendering, whose
+   shortest round-trip search costs up to two [sprintf]s and a
+   [float_of_string]); [s<len>:<bytes>] for a string; [[...]] for a list;
+   [{<len>:<key><value>...}] for an object, members sorted by key (stable,
+   so duplicate keys keep their order). *)
+let hex_digits = "0123456789abcdef"
+
+let add_hex buf x ndigits =
+  for k = ndigits - 1 downto 0 do
+    Buffer.add_char buf hex_digits.[(x lsr (4 * k)) land 15]
+  done
+
+(* Decimal digits without [string_of_int]'s format-string pass; works on
+   the non-positive side so [min_int] needs no case. *)
+let rec add_nonpos_digits buf i =
+  if i <= -10 then add_nonpos_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (i mod 10)))
+
+let add_int buf i =
+  if i < 0 then (
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf i)
+  else add_nonpos_digits buf (-i)
+
+let add_key_string buf s =
+  add_int buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let rec add_key buf = function
+  | Jsonx.Null -> Buffer.add_char buf 'n'
+  | Jsonx.Bool b -> Buffer.add_char buf (if b then 't' else 'f')
+  | Jsonx.Int i ->
+      Buffer.add_char buf 'i';
+      add_int buf i;
+      Buffer.add_char buf ';'
+  | Jsonx.Float f ->
+      let bits = Int64.bits_of_float f in
+      Buffer.add_char buf 'd';
+      add_hex buf (Int64.to_int (Int64.shift_right_logical bits 32)) 8;
+      add_hex buf (Int64.to_int bits) 8
+  | Jsonx.String s ->
+      Buffer.add_char buf 's';
+      add_key_string buf s
+  | Jsonx.List l ->
+      Buffer.add_char buf '[';
+      List.iter (add_key buf) l;
+      Buffer.add_char buf ']'
+  | Jsonx.Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iter
+        (fun (k, v) ->
+          add_key_string buf k;
+          add_key buf v)
+        (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) kvs);
+      Buffer.add_char buf '}'
+
 let routing_key j =
   let kind =
     Option.value
@@ -194,9 +258,11 @@ let routing_key j =
     | Some v -> v
     | None -> Jsonx.Obj []
   in
-  Jsonx.to_canonical_string
+  let buf = Buffer.create 512 in
+  add_key buf
     (Jsonx.Obj
-       [ ("kind", Jsonx.String kind); ("params", params); ("spec", spec) ])
+       [ ("kind", Jsonx.String kind); ("params", params); ("spec", spec) ]);
+  Buffer.contents buf
 
 let route_of t j =
   let key = routing_key j in
@@ -204,53 +270,64 @@ let route_of t j =
 
 (* --------------------------- accounting ----------------------------- *)
 
-let count_line t =
-  Mutex.protect t.clock (fun () ->
-      t.counters.c_lines <- t.counters.c_lines + 1)
+(* The counter updates; callers hold [t.clock].  A request's updates are
+   grouped into one critical section where nothing observes the state
+   in between — the warm fast paths pay one lock round-trip, not four. *)
+let bump_kind c = function
+  | `Cache -> c.c_cache <- c.c_cache + 1
+  | `Ram -> c.c_ram <- c.c_ram + 1
+  | `Mainmem -> c.c_mainmem <- c.c_mainmem + 1
+  | `Stats -> c.c_stats <- c.c_stats + 1
+  | `Malformed -> c.c_malformed <- c.c_malformed + 1
 
-let count_kind t kind =
-  Mutex.protect t.clock (fun () ->
-      let c = t.counters in
-      match kind with
-      | `Cache -> c.c_cache <- c.c_cache + 1
-      | `Ram -> c.c_ram <- c.c_ram + 1
-      | `Mainmem -> c.c_mainmem <- c.c_mainmem + 1
-      | `Stats -> c.c_stats <- c.c_stats + 1
-      | `Malformed -> c.c_malformed <- c.c_malformed + 1)
-
-let count_outcome t outcome =
-  Mutex.protect t.clock (fun () ->
-      let c = t.counters in
-      match outcome with
-      | `Ok -> c.o_ok <- c.o_ok + 1
-      | `Invalid -> c.o_invalid <- c.o_invalid + 1
-      | `No_solution -> c.o_no_solution <- c.o_no_solution + 1
-      | `Internal_error -> c.o_internal_error <- c.o_internal_error + 1
-      | `Overloaded -> c.o_overloaded <- c.o_overloaded + 1
-      | `Deadline_exceeded ->
-          c.o_deadline_exceeded <- c.o_deadline_exceeded + 1
-      | `Draining -> c.o_draining <- c.o_draining + 1)
-
-let count_worker_fault t =
-  Mutex.protect t.clock (fun () ->
-      t.counters.c_worker_faults <- t.counters.c_worker_faults + 1)
+let bump_outcome c = function
+  | `Ok -> c.o_ok <- c.o_ok + 1
+  | `Invalid -> c.o_invalid <- c.o_invalid + 1
+  | `No_solution -> c.o_no_solution <- c.o_no_solution + 1
+  | `Internal_error -> c.o_internal_error <- c.o_internal_error + 1
+  | `Overloaded -> c.o_overloaded <- c.o_overloaded + 1
+  | `Deadline_exceeded -> c.o_deadline_exceeded <- c.o_deadline_exceeded + 1
+  | `Draining -> c.o_draining <- c.o_draining + 1
 
 let bucket_of_ms ms =
   let us = ms *. 1e3 in
   if us < 1. then 0
   else min (n_buckets - 1) (int_of_float (Float.log2 us))
 
-let record_latency t ms =
+let add_latency c ms =
+  c.lat_sum_ms <- c.lat_sum_ms +. ms;
+  c.lat_count <- c.lat_count + 1;
+  let b = bucket_of_ms ms in
+  c.lat_buckets.(b) <- c.lat_buckets.(b) + 1;
+  (* The same event is a completion for the service-rate estimate. *)
+  c.completions.(c.comp_next) <- Unix.gettimeofday ();
+  c.comp_next <- (c.comp_next + 1) mod comp_ring;
+  c.comp_count <- c.comp_count + 1
+
+let count_line t =
+  Mutex.protect t.clock (fun () ->
+      t.counters.c_lines <- t.counters.c_lines + 1)
+
+let count_kind t kind = Mutex.protect t.clock (fun () -> bump_kind t.counters kind)
+
+let count_outcome t outcome =
+  Mutex.protect t.clock (fun () -> bump_outcome t.counters outcome)
+
+let count_worker_fault t =
+  Mutex.protect t.clock (fun () ->
+      t.counters.c_worker_faults <- t.counters.c_worker_faults + 1)
+
+let record_latency t ms = Mutex.protect t.clock (fun () -> add_latency t.counters ms)
+
+(* A line answered in full without leaving the caller's thread: its kind,
+   outcome and latency (and, when [line], its entry count) at once. *)
+let count_answer t ~line kind outcome ms =
   Mutex.protect t.clock (fun () ->
       let c = t.counters in
-      c.lat_sum_ms <- c.lat_sum_ms +. ms;
-      c.lat_count <- c.lat_count + 1;
-      let b = bucket_of_ms ms in
-      c.lat_buckets.(b) <- c.lat_buckets.(b) + 1;
-      (* The same event is a completion for the service-rate estimate. *)
-      c.completions.(c.comp_next) <- Unix.gettimeofday ();
-      c.comp_next <- (c.comp_next + 1) mod comp_ring;
-      c.comp_count <- c.comp_count + 1)
+      if line then c.c_lines <- c.c_lines + 1;
+      bump_kind c kind;
+      bump_outcome c outcome;
+      add_latency c ms)
 
 (* Percentile estimate from the histogram: the geometric middle of the
    bucket where the cumulative count crosses the quantile.  Good to a
@@ -643,70 +720,72 @@ let fast_result t ~admitted j e =
         ] )
 
 (* [counted:false] is the admission-time probe: a miss there is followed
-   by the owning worker's counted lookup for the same request, so only
-   hits may touch the hit/miss counters (the uncounted [mem]-then-[find]
-   race is benign — an eviction in the window just counts one extra
-   miss). *)
+   by the owning worker's counted lookup for the same request, so it
+   counts hits only ([Lru.find_hit]) — one locked probe per warm request,
+   and every request still counts exactly one hit or miss. *)
 let fast_lookup ~counted sq j route =
   match sq.sq_resp with
-  | None -> None
-  | Some _ when not (fast_eligible j) -> None
-  | Some resp ->
-      if counted then Lru.find resp route
-      else if Lru.mem resp route then Lru.find resp route
-      else None
+  | Some resp when fast_eligible j ->
+      if counted then Lru.find resp route else Lru.find_hit resp route
+  | _ -> None
 
 let try_fast_path t ~route sq ~admitted j t0 =
   match fast_lookup ~counted:true sq j route with
   | None -> None
   | Some e ->
-      count_kind t e.re_kind;
       let id = Protocol.request_id j in
-      Some
-        (match fast_result t ~admitted j e with
+      let outcome, (wall_ms, response) =
+        match fast_result t ~admitted j e with
         | Ok e ->
-            count_outcome t `Ok;
-            respond ~id ~t0 ~cache_hits:e.re_cache_hits (Ok e.re_solution)
-        | Error (outcome, ds) ->
-            count_outcome t outcome;
-            respond ~id ~t0 (Error ds))
+            ( `Ok,
+              respond ~id ~t0 ~cache_hits:e.re_cache_hits (Ok e.re_solution) )
+        | Error (outcome, ds) -> (outcome, respond ~id ~t0 (Error ds))
+      in
+      count_answer t ~line:false e.re_kind outcome wall_ms;
+      Some (outcome, response)
 
 (* Admission-time warm answer, already rendered: the wire line is
    composed by splicing the solution text stored with the entry — field
    order and number formatting match [Protocol.response_to_json] +
    [Jsonx.to_string] byte-for-byte, so the spliced line is exactly what
    the tree path would print (wall_ms aside, which is genuinely
-   per-request). *)
+   per-request).  Counts the line itself: nothing else touches it. *)
 let try_fast_line t ~route sq ~admitted j t0 =
   match fast_lookup ~counted:false sq j route with
   | None -> None
   | Some e -> (
-      count_kind t e.re_kind;
-      let id = Protocol.request_id j in
       match fast_result t ~admitted j e with
       | Ok e ->
-          count_outcome t `Ok;
           let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-          record_latency t wall_ms;
+          count_answer t ~line:true e.re_kind `Ok wall_ms;
           Some
-            (Printf.sprintf
-               {|{"id":%s,"ok":true,"solution":%s,"timing":{"wall_ms":%s,"cache_hits":%d}}|}
-               (Jsonx.to_string id) e.re_rendered
-               (Jsonx.to_string (Jsonx.num wall_ms))
-               e.re_cache_hits)
+            ( Answered,
+              String.concat ""
+                [
+                  {|{"id":|};
+                  Jsonx.to_string (Protocol.request_id j);
+                  {|,"ok":true,"solution":|};
+                  e.re_rendered;
+                  {|,"timing":{"wall_ms":|};
+                  Jsonx.to_string (Jsonx.num wall_ms);
+                  {|,"cache_hits":|};
+                  string_of_int e.re_cache_hits;
+                  "}}";
+                ] )
       | Error (outcome, ds) ->
-          count_outcome t outcome;
-          let wall_ms, response = respond ~id ~t0 (Error ds) in
-          record_latency t wall_ms;
-          Some (Jsonx.to_string response))
+          let wall_ms, response =
+            respond ~id:(Protocol.request_id j) ~t0 (Error ds)
+          in
+          count_answer t ~line:true e.re_kind outcome wall_ms;
+          Some (status_of_outcome outcome, Jsonx.to_string response))
 
 let handle_routed ?admitted_at t (route, sq) j =
   let t0 = Unix.gettimeofday () in
   let admitted = Option.value admitted_at ~default:t0 in
-  let wall_ms, response =
-    match try_fast_path t ~route sq ~admitted j t0 with
-    | Some r -> r
-    | None -> (
+  match try_fast_path t ~route sq ~admitted j t0 with
+  | Some (outcome, response) -> (status_of_outcome outcome, response)
+  | None ->
+      let outcome, (wall_ms, response) =
         match Protocol.parse_request j with
         | Error ds ->
             (* Envelope kinds stay meaningful even for undecodable requests:
@@ -718,11 +797,11 @@ let handle_routed ?admitted_at t (route, sq) j =
             | Some "stats" -> count_kind t `Stats
             | Some _ | None -> count_kind t `Malformed);
             count_outcome t `Invalid;
-            respond ~id:(Protocol.request_id j) ~t0 (Error ds)
+            (`Invalid, respond ~id:(Protocol.request_id j) ~t0 (Error ds))
         | Ok (Protocol.Stats { id }) ->
             count_kind t `Stats;
             count_outcome t `Ok;
-            respond ~id ~t0 (Ok (stats_json t))
+            (`Ok, respond ~id ~t0 (Ok (stats_json t)))
         | Ok (Protocol.Solve { id; spec; params } as req) ->
             count_kind t (kind_tag spec);
             (* Per-request cancellation: the deadline token (absolute, from
@@ -782,16 +861,18 @@ let handle_routed ?admitted_at t (route, sq) j =
             | Ok (solution, summary) ->
                 count_outcome t `Ok;
                 store_response sq route ~kind:(kind_tag spec) solution;
-                respond ~id ~t0 ~cache_hits:summary.Diag.cache_hits
-                  (Ok solution)
+                ( `Ok,
+                  respond ~id ~t0 ~cache_hits:summary.Diag.cache_hits
+                    (Ok solution) )
             | Error (outcome, ds) ->
                 count_outcome t outcome;
-                respond ~id ~t0 (Error ds)))
-  in
-  record_latency t wall_ms;
-  response
+                (outcome, respond ~id ~t0 (Error ds)))
+      in
+      record_latency t wall_ms;
+      (status_of_outcome outcome, response)
 
-let handle_json ?admitted_at t j = handle_routed ?admitted_at t (route_of t j) j
+let handle_json ?admitted_at t j =
+  snd (handle_routed ?admitted_at t (route_of t j) j)
 
 let handle_line t line =
   count_line t;
@@ -802,7 +883,7 @@ let handle_line t line =
          share one warm set. *)
       let ((_, sq) as route) = route_of t j in
       Cacti.Solve_cache.with_shard sq.sq_cache (fun () ->
-          Jsonx.to_string (handle_routed t route j))
+          Jsonx.to_string (snd (handle_routed t route j)))
   | Error msg ->
       let t0 = Unix.gettimeofday () in
       count_kind t `Malformed;
@@ -862,22 +943,22 @@ let refusal ~id ~reason ?retry_after msg =
        })
 
 let admit t ~reply line =
-  count_line t;
   match Jsonx.parse line with
   | Error msg ->
+      count_line t;
       count_kind t `Malformed;
       count_outcome t `Invalid;
       let _, response =
         respond ~id:Jsonx.Null ~t0:(Unix.gettimeofday ())
           (Error [ Diag.error ~component:"protocol" ~reason:"parse_error" msg ])
       in
-      reply (Jsonx.to_string response)
+      reply Answered (Jsonx.to_string response)
   | Ok j -> (
-      let id = Protocol.request_id j in
       if t.is_draining then begin
+        count_line t;
         count_outcome t `Draining;
-        reply
-          (refusal ~id ~reason:"draining"
+        reply Draining
+          (refusal ~id:(Protocol.request_id j) ~reason:"draining"
              "server draining: not accepting new requests")
       end
       else
@@ -890,8 +971,10 @@ let admit t ~reply line =
            the queue (and the worker re-probes, counted, in case a
            duplicate in front of it warmed the entry meanwhile). *)
         match try_fast_line t ~route sq ~admitted:now j now with
-        | Some line -> reply line
+        | Some (status, line) -> reply status line
         | None ->
+        count_line t;
+        let id = Protocol.request_id j in
         let deadline =
           match deadline_of_json j with
           | Some d -> now +. (d /. 1e3)
@@ -922,16 +1005,16 @@ let admit t ~reply line =
         if not admitted then
           if t.is_draining || t.stopping then begin
             count_outcome t `Draining;
-            reply
+            reply Draining
               (refusal ~id ~reason:"draining"
                  "server draining: not accepting new requests")
           end
           else begin
             count_outcome t `Overloaded;
             let depth = shard_depth sq in
-            reply
-              (refusal ~id ~reason:"queue_full"
-                 ~retry_after:(retry_after_ms t depth)
+            let retry_after = retry_after_ms t depth in
+            reply (Queue_full retry_after)
+              (refusal ~id ~reason:"queue_full" ~retry_after
                  (Printf.sprintf
                     "admission queue full (%d of %d pending on shard %d): \
                      retry later"
@@ -968,7 +1051,7 @@ let worker_loop t sq =
            count_outcome t `Deadline_exceeded;
            let waited_ms = (now -. job.j_admitted) *. 1e3 in
            try
-             job.j_reply
+             job.j_reply Answered
                (refusal ~id:job.j_id ~reason:"deadline_exceeded"
                   ~retry_after:(retry_after_ms t (shard_depth sq))
                   (Printf.sprintf
@@ -984,11 +1067,13 @@ let worker_loop t sq =
               this branch owns the line's outcome. *)
            match
              Chaos.fire "service.worker";
-             Jsonx.to_string
-               (handle_routed ~admitted_at:job.j_admitted t
-                  (job.j_route, sq) job.j_json)
+             let status, response =
+               handle_routed ~admitted_at:job.j_admitted t (job.j_route, sq)
+                 job.j_json
+             in
+             (status, Jsonx.to_string response)
            with
-           | response -> ( try job.j_reply response with _ -> ())
+           | status, response -> ( try job.j_reply status response with _ -> ())
            | exception exn ->
                count_worker_fault t;
                count_outcome t `Internal_error;
@@ -997,7 +1082,7 @@ let worker_loop t sq =
                     "exception escaped a queue worker: %s"
                     (Printexc.to_string exn));
                (try
-                  job.j_reply
+                  job.j_reply Answered
                     (refusal ~id:job.j_id ~reason:"internal_error"
                        (Printf.sprintf "worker fault: %s"
                           (Printexc.to_string exn)))

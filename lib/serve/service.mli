@@ -90,8 +90,11 @@ val shard_cache : t -> int -> Cacti.Solve_cache.shard
 
 val routing_key : Cacti_util.Jsonx.t -> string
 (** The canonical routing key of a raw request (kind + spec + params
-    minus [deadline_ms]/[jobs], sorted-key JSON): the ring key and the
-    response-cache key.  Pure — exposed for tests and benchmarks. *)
+    minus [deadline_ms]/[jobs]): the ring key and the response-cache key.
+    A compact, injective byte encoding, not JSON: object members are
+    sorted by key, a float is its IEEE-754 bit pattern in hex, so [Int 45]
+    and [Float 45.] — and any two floats with different bits — key apart.  Pure —
+    exposed for tests and benchmarks. *)
 
 val handle_json :
   ?admitted_at:float -> t -> Cacti_util.Jsonx.t -> Cacti_util.Jsonx.t
@@ -121,14 +124,26 @@ val service_rate : t -> float option
 
 (** {1 Admission queue} *)
 
-val admit : t -> reply:(string -> unit) -> string -> unit
+(** What a transport needs to know about a response line without
+    reading it. *)
+type status =
+  | Answered  (** an in-band answer, [ok] or not *)
+  | Queue_full of float
+      (** a [serve/queue_full] refusal; the float is the line's
+          [retry_after_ms] *)
+  | Draining
+      (** a [serve/draining] refusal, or a solve the drain cancelled *)
+
+val admit : t -> reply:(status -> string -> unit) -> string -> unit
 (** Admit one request line from a transport thread: parse it once, route
     it, then enqueue it for its shard's workers or answer it immediately
-    through [reply] — malformed lines, [serve/draining] refusals, and
-    [serve/queue_full] refusals (with the shard's queue depth and a
-    [retry_after_ms] hint) never touch the queue.  [reply] is retained
-    until the job's response is written; it must tolerate being called
-    from a worker thread. *)
+    through [reply] — warm response-cache hits, malformed lines,
+    [serve/draining] refusals, and [serve/queue_full] refusals (with the
+    shard's queue depth and a [retry_after_ms] hint) never touch the
+    queue.  [reply] receives the line's {!status} with the line, so the
+    transport never scans a body to classify it.  [reply] is called
+    exactly once per line and is retained until the job's response is
+    written; it must tolerate being called from a worker thread. *)
 
 val queue_depth : t -> int
 (** Total queued jobs across all shards. *)

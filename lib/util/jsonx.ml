@@ -29,12 +29,16 @@ let rec equal a b =
 
 (* ------------------------------ printing ------------------------------ *)
 
+(* The C conversion behind [Printf]'s [%g]: the same text for a finite
+   float, without interpreting a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal that parses back bit-exactly; always contains '.' or
    'e' so the value re-parses as a float, not an int. *)
 let float_repr f =
   let s =
-    let s15 = Printf.sprintf "%.15g" f in
-    if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+    let s15 = format_float "%.15g" f in
+    if float_of_string s15 = f then s15 else format_float "%.17g" f
   in
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
@@ -145,28 +149,39 @@ let pp ppf v = Format.pp_print_string ppf (to_string_pretty v)
 
 exception Err of int * string
 
+(* 10^0 .. 10^22: every one an exact double. *)
+let pow10 =
+  let p = Array.make 23 1. in
+  for i = 1 to 22 do
+    p.(i) <- p.(i - 1) *. 10.
+  done;
+  p
+
+(* One pass over the bytes with an explicit cursor.  Every read of [s] is
+   guarded by an explicit comparison with [n] — the release profile
+   compiles with [-unsafe], so these guards are the only bounds checks
+   untrusted input gets.  The common cases allocate only what the tree
+   holds: a string without escapes is one [String.sub], an integer of at
+   most 18 digits is accumulated in place, and a short decimal converts
+   without a substring (Clinger's exact case below). *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let err msg = raise (Err (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && s.[!pos] = c in
   let skip_ws () =
     while
       !pos < n
       && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
     do
-      advance ()
+      incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then incr pos else err (Printf.sprintf "expected %C" c) in
   let literal word v =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (
+    let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then (
       pos := !pos + l;
       v)
     else err (Printf.sprintf "expected %s" word)
@@ -183,7 +198,7 @@ let parse s =
         | _ -> err "bad hex digit in \\u escape"
       in
       v := (!v * 16) + d;
-      advance ()
+      incr pos
     done;
     !v
   in
@@ -202,97 +217,156 @@ let parse s =
       Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F))))
   in
+  (* The rest of a string from its first backslash on, decoded into
+     [buf]. *)
+  let rec escaped buf =
+    if !pos >= n then err "unterminated string";
+    match s.[!pos] with
+    | '"' -> incr pos
+    | '\\' ->
+        incr pos;
+        if !pos >= n then err "unterminated escape";
+        let c = s.[!pos] in
+        incr pos;
+        (match c with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' ->
+            let cp = hex4 () in
+            let cp =
+              (* surrogate pair *)
+              if cp >= 0xD800 && cp <= 0xDBFF then
+                if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then (
+                  pos := !pos + 2;
+                  let lo = hex4 () in
+                  if lo >= 0xDC00 && lo <= 0xDFFF then
+                    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                  else err "invalid low surrogate")
+                else err "unpaired high surrogate"
+              else cp
+            in
+            add_utf8 buf cp
+        | _ -> err (Printf.sprintf "invalid escape \\%c" c));
+        escaped buf
+    | c when Char.code c < 0x20 -> err "raw control byte in string"
+    | c ->
+        Buffer.add_char buf c;
+        incr pos;
+        escaped buf
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then err "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' -> (
-          advance ();
-          if !pos >= n then err "unterminated escape";
-          let c = s.[!pos] in
-          advance ();
-          match c with
-          | '"' -> Buffer.add_char buf '"'; go ()
-          | '\\' -> Buffer.add_char buf '\\'; go ()
-          | '/' -> Buffer.add_char buf '/'; go ()
-          | 'n' -> Buffer.add_char buf '\n'; go ()
-          | 'r' -> Buffer.add_char buf '\r'; go ()
-          | 't' -> Buffer.add_char buf '\t'; go ()
-          | 'b' -> Buffer.add_char buf '\b'; go ()
-          | 'f' -> Buffer.add_char buf '\012'; go ()
-          | 'u' ->
-              let cp = hex4 () in
-              let cp =
-                (* surrogate pair *)
-                if cp >= 0xD800 && cp <= 0xDBFF then
-                  if
-                    !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                  then (
-                    pos := !pos + 2;
-                    let lo = hex4 () in
-                    if lo >= 0xDC00 && lo <= 0xDFFF then
-                      0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                    else err "invalid low surrogate")
-                  else err "unpaired high surrogate"
-                else cp
-              in
-              add_utf8 buf cp;
-              go ()
-          | _ -> err (Printf.sprintf "invalid escape \\%c" c))
-      | c when Char.code c < 0x20 -> err "raw control byte in string"
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
+    let start = !pos in
+    let rec plain i =
+      if i >= n then (
+        pos := i;
+        err "unterminated string");
+      match s.[i] with
+      | '"' ->
+          pos := i + 1;
+          String.sub s start (i - start)
+      | '\\' ->
+          let buf = Buffer.create (i - start + 16) in
+          Buffer.add_substring buf s start (i - start);
+          pos := i;
+          escaped buf;
+          Buffer.contents buf
+      | c when Char.code c < 0x20 ->
+          pos := i;
+          err "raw control byte in string"
+      | _ -> plain (i + 1)
     in
-    go ();
-    Buffer.contents buf
+    plain start
+  in
+  let is_digit () = !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false in
+  (* Skip a non-empty digit run; returns where it started. *)
+  let digits () =
+    let d0 = !pos in
+    while is_digit () do
+      incr pos
+    done;
+    if !pos = d0 then err "expected digit";
+    d0
+  in
+  (* The int value of the digit run [i0, i1), appended to [acc]; callers
+     bound the run so the result cannot overflow. *)
+  let rec digits_value i0 i1 acc =
+    if i0 >= i1 then acc
+    else digits_value (i0 + 1) i1 ((acc * 10) + (Char.code s.[i0] - Char.code '0'))
   in
   let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-        advance ()
-      done;
-      if !pos = d0 then err "expected digit";
-      d0
-    in
+    let neg = at '-' in
+    if neg then incr pos;
     (* RFC 8259: no leading zeros in the integer part *)
     let d0 = digits () in
-    if !pos - d0 > 1 && s.[d0] = '0' then err "leading zero";
-    let is_float = ref false in
-    if peek () = Some '.' then (
-      is_float := true;
-      advance ();
-      ignore (digits ()));
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        ignore (digits ())
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string text)
+    let d1 = !pos in
+    if d1 - d0 > 1 && s.[d0] = '0' then err "leading zero";
+    let has_frac = at '.' in
+    let f0 =
+      if has_frac then (
+        incr pos;
+        digits ())
+      else d1
+    in
+    let f1 = !pos in
+    let has_exp = at 'e' || at 'E' in
+    let exp_neg = ref false and e0 = ref f1 in
+    if has_exp then (
+      incr pos;
+      if at '+' then incr pos
+      else if at '-' then (
+        exp_neg := true;
+        incr pos);
+      e0 := digits ());
+    let e1 = !pos in
+    let is_float = has_frac || has_exp in
+    if (not is_float) && d1 - d0 <= 18 then
+      (* At most 18 digits cannot overflow a 63-bit int. *)
+      let v = digits_value d0 d1 0 in
+      Int (if neg then -v else v)
     else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> Float (float_of_string text)
+      let exp10 =
+        (if e1 - !e0 > 3 then max_int / 2
+         else
+           let e = digits_value !e0 e1 0 in
+           if !exp_neg then -e else e)
+        - (f1 - f0)
+      in
+      (* Clinger's exact case: a mantissa of at most 15 digits (< 2^53)
+         and a power of ten up to 10^22 are both exact doubles, so one
+         IEEE multiply or divide rounds the quotient correctly — the
+         same double [float_of_string] returns.  (An int gets here only
+         with more than 18 digits.) *)
+      if (d1 - d0) + (f1 - f0) <= 15 && exp10 >= -22 && exp10 <= 22 then
+        let m = float_of_int (digits_value f0 f1 (digits_value d0 d1 0)) in
+        let v =
+          if exp10 >= 0 then m *. pow10.(exp10) else m /. pow10.(-exp10)
+        in
+        Float (if neg then -.v else v)
+      else
+        let text = String.sub s start (!pos - start) in
+        if is_float then Float (float_of_string text)
+        else
+          match int_of_string_opt text with
+          | Some i -> Int i
+          | None -> Float (float_of_string text)
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> err "unexpected end of input"
-    | Some '{' ->
-        advance ();
+    if !pos >= n then err "unexpected end of input";
+    match s.[!pos] with
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
+        if at '}' then (
+          incr pos;
           Obj [])
         else
           let rec members acc =
@@ -302,42 +376,40 @@ let parse s =
             expect ':';
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> err "expected ',' or '}'"
+            if at ',' then (
+              incr pos;
+              members ((k, v) :: acc))
+            else if at '}' then (
+              incr pos;
+              Obj (List.rev ((k, v) :: acc)))
+            else err "expected ',' or '}'"
           in
           members []
-    | Some '[' ->
-        advance ();
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
+        if at ']' then (
+          incr pos;
           List [])
         else
           let rec elements acc =
             let v = parse_value () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> err "expected ',' or ']'"
+            if at ',' then (
+              incr pos;
+              elements (v :: acc))
+            else if at ']' then (
+              incr pos;
+              List (List.rev (v :: acc)))
+            else err "expected ',' or ']'"
           in
           elements []
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> err (Printf.sprintf "unexpected character %C" c)
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> err (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value () in

@@ -52,7 +52,7 @@ val to_string_pretty : t -> string
 val to_canonical_string : t -> string
 (** Compact like {!to_string}, but object keys are sorted (recursively,
     byte order) so two spellings of the same object print identically —
-    the routing/deduplication key for the serve layer.  Array order and
+    a deduplication key that is still JSON.  Array order and
     number spellings are preserved: [Int 1] and [Float 1.] stay
     distinct. *)
 

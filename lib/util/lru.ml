@@ -77,6 +77,19 @@ let find t key =
           t.misses <- t.misses + 1;
           None)
 
+(* Hit-only counted lookup: a hit bumps [hits] and refreshes recency, a
+   miss moves nothing.  For a probe whose miss is followed by a counted
+   [find] of the same key elsewhere, so every request is counted once and
+   only one locked probe is paid per hit. *)
+let find_hit t key =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some e ->
+          t.hits <- t.hits + 1;
+          touch t e;
+          Some e.value
+      | None -> None)
+
 (* Uncounted presence probe: no hit/miss bump, no recency touch — for
    callers (the pre-solver) that must not skew the hit-rate the real
    request stream reports. *)

@@ -16,6 +16,12 @@ val create : ?size:int -> unit -> ('k, 'v) t
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Counted lookup: bumps [hits] or [misses] and refreshes recency. *)
 
+val find_hit : ('k, 'v) t -> 'k -> 'v option
+(** Hit-only counted lookup: a hit bumps [hits] and refreshes recency
+    exactly like {!find}; a miss moves neither counter nor recency.  For
+    a probe whose miss is followed by a counted {!find} of the same key,
+    so each lookup is counted once. *)
+
 val mem : ('k, 'v) t -> 'k -> bool
 (** Uncounted presence probe: neither the hit/miss counters nor the
     recency order move. *)

@@ -120,6 +120,133 @@ let prop_jsonx_roundtrip =
           Jsonx.equal compact want && Jsonx.equal pretty want
       | Error e, _ | _, Error e -> QCheck.Test.fail_reportf "parse: %s" e)
 
+(* The production parser against the reference model in [jsonx_ref.ml]:
+   the same tree (floats compared bit for bit) or the same error text,
+   offset included. *)
+let rec json_identical a b =
+  match (a, b) with
+  | Jsonx.Float x, Jsonx.Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Jsonx.List a, Jsonx.List b -> List.equal json_identical a b
+  | Jsonx.Obj a, Jsonx.Obj b ->
+      List.equal
+        (fun (k, v) (k', v') -> String.equal k k' && json_identical v v')
+        a b
+  | (Jsonx.Null | Bool _ | Int _ | String _), _ -> a = b
+  | _ -> false
+
+let same_parse s =
+  match (Jsonx_ref.parse s, Jsonx.parse s) with
+  | Ok a, Ok b ->
+      json_identical a b
+      || QCheck.Test.fail_reportf "trees differ: %s vs %s" (Jsonx.to_string a)
+           (Jsonx.to_string b)
+  | Error a, Error b ->
+      String.equal a b || QCheck.Test.fail_reportf "errors differ: %s vs %s" a b
+  | Ok _, Error e -> QCheck.Test.fail_reportf "only the new parser fails: %s" e
+  | Error e, Ok _ -> QCheck.Test.fail_reportf "only the reference fails: %s" e
+
+(* Number texts on both sides of the exact fast path: up to 20 integer and
+   20 fraction digits, leading zeros, exponents of up to 4 digits. *)
+let number_text_gen =
+  let open QCheck.Gen in
+  let digit_run lo hi = string_size ~gen:(char_range '0' '9') (int_range lo hi) in
+  let* sign = oneofl [ ""; "-" ] in
+  let* int_part = oneof [ return "0"; digit_run 1 20 ] in
+  let* frac = oneof [ return ""; map (fun d -> "." ^ d) (digit_run 0 20) ] in
+  let* exp =
+    oneof
+      [
+        return "";
+        map3
+          (fun e s d -> e ^ s ^ d)
+          (oneofl [ "e"; "E" ]) (oneofl [ ""; "+"; "-" ]) (digit_run 0 4);
+      ]
+  in
+  return (sign ^ int_part ^ frac ^ exp)
+
+let prop_jsonx_numbers_match_reference =
+  QCheck.Test.make ~name:"jsonx numbers = reference parser" ~count:3000
+    (QCheck.make ~print:Fun.id number_text_gen) (fun s ->
+      same_parse s && same_parse ("[" ^ s ^ "]") && same_parse (" " ^ s ^ "\n"))
+
+let prop_jsonx_floats_print_as_reference =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map (fun i -> float_of_int i /. 100.) (int_range (-100000) 100000);
+          map Int64.float_of_bits int64;
+          oneofl [ 0.; -0.; 0.1; 1e-308; 5e-324; Float.max_float; 1e15; 1e16; 1e17 ];
+        ])
+  in
+  QCheck.Test.make ~name:"jsonx floats print as the Printf reference" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun f ->
+      (not (Float.is_finite f))
+      || String.equal (Jsonx.to_string (Jsonx.Float f)) (Jsonx_ref.float_repr f))
+
+let prop_jsonx_values_match_reference =
+  QCheck.Test.make ~name:"jsonx printed values = reference parser" ~count:500
+    jsonx_arb (fun v ->
+      same_parse (Jsonx.to_string v) && same_parse (Jsonx.to_string_pretty v))
+
+(* Byte-level mutations of request lines: truncation, byte flips,
+   inserted bytes, bad or surrogate escapes, leading zeros. *)
+let mutated_line_gen =
+  let open QCheck.Gen in
+  let seeds =
+    [
+      {|{"id":1,"kind":"cache","spec":{"tech_nm":45,"capacity_bytes":65536,"assoc":4}}|};
+      {|{"id":"a\"b\u00e9\ud83d\ude00","kind":"ram","spec":{"tech_nm":32.5,"capacity_bytes":16384,"word_bits":64},"params":{"deadline_ms":2.5e3,"weights":{"w_cycle":1.0,"w_leakage":-0.25E-2}}}|};
+      {| [ true , false , null , -0 , 0.1 , 12345678901234567890 , "x\/y" , {} , [] ] |};
+      {|{"kind":"stats"}|};
+    ]
+  in
+  let base =
+    oneof
+      [
+        oneofl seeds;
+        map Jsonx.to_string (QCheck.gen jsonx_arb);
+        map Jsonx.to_string_pretty (QCheck.gen jsonx_arb);
+      ]
+  in
+  let inserts =
+    [
+      "\\x"; "\\u12"; "\\uD800"; "\\uD800\\u0041"; "\\uDBFF\\uDFFF"; "\\uDC00";
+      "\\uZZZZ"; "\\"; "0"; "00"; "-"; "."; "e"; "E+"; "\""; "{"; "}"; "[";
+      "]"; ","; ":"; " "; "\x01"; "\x00"; "\xff"; "tru"; "nul";
+    ]
+  in
+  let mutate s =
+    let n = String.length s in
+    let* at = int_bound n in
+    oneof
+      [
+        return (String.sub s 0 at);
+        (if n = 0 then return s
+         else
+           let* c = map Char.chr (int_range 0 255) in
+           let at = min at (n - 1) in
+           return
+             (String.sub s 0 at ^ String.make 1 c
+             ^ String.sub s (at + 1) (n - at - 1)));
+        (let* ins =
+           oneof [ oneofl inserts; map (String.make 1) (map Char.chr (int_range 0 255)) ]
+         in
+         return (String.sub s 0 at ^ ins ^ String.sub s at (n - at)));
+      ]
+  in
+  let* s = base in
+  let* k = int_range 1 3 in
+  let rec go s k = if k = 0 then return s else mutate s >>= fun s -> go s (k - 1) in
+  go s k
+
+let prop_jsonx_mutations_match_reference =
+  QCheck.Test.make ~name:"jsonx mutated lines = reference parser" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_line_gen)
+    same_parse
+
 (* ----------------------------- protocol --------------------------- *)
 
 let request_arb =
@@ -287,12 +414,25 @@ let reasons_of r =
   | _ -> []
 
 (* Thread-safe reply sink for Service.admit: refusals answer inline from
-   the admitting thread, everything else from a worker thread. *)
+   the admitting thread, everything else from a worker thread.  Every
+   reply's carried status must map to the HTTP status the reference
+   body classifier derives from the line itself. *)
 let collector () =
   let m = Mutex.create () in
   let replies = ref [] in
-  let reply s = Mutex.protect m (fun () -> replies := s :: !replies) in
-  (reply, fun () -> Mutex.protect m (fun () -> List.rev !replies))
+  let reply status s =
+    Mutex.protect m (fun () -> replies := (status, s) :: !replies)
+  in
+  let checked () =
+    List.rev_map
+      (fun (status, s) ->
+        Alcotest.(check (pair int (list (pair string string))))
+          ("carried status = body classifier: " ^ s)
+          (Http_ref.status_of_body s) (Http.http_status status);
+        s)
+      (Mutex.protect m (fun () -> !replies))
+  in
+  (reply, checked)
 
 let wait_for ?(budget_s = 10.) cond =
   let deadline = Unix.gettimeofday () +. budget_s in
@@ -608,6 +748,53 @@ let test_queue_backpressure () =
     (List.mem "draining" (reasons_of r));
   check_partition (Service.stats_json service)
 
+(* The warm fast path allocates little.  A full request as a sweep client
+   sends it (395 bytes: a 256 KB cache spec with every field spelled out
+   and default params) answered from the response cache at admission,
+   with its HTTP status: 1000 requests stay under 2000 minor words each.
+   Body-scanning classification on top of the old parser and key printer
+   took about 5150 words per request (3470 for the admission alone); this
+   path takes about 1500. *)
+let test_warm_admit_allocation () =
+  with_cold_cache @@ fun () ->
+  let spec =
+    Cacti.Cache_spec.create ~tech:t45 ~capacity_bytes:(256 * 1024) ~assoc:8
+      ~n_banks:2 ~block_bytes:64 ()
+  in
+  let line =
+    Jsonx.to_string
+      (Protocol.encode_request
+         (Protocol.Solve
+            { id = Jsonx.Int 123; spec = Protocol.Cache spec; params = Protocol.default_params }))
+  in
+  let service = Service.create ~log:ignore () in
+  ignore (Service.handle_line service line);
+  let last = ref (Service.Draining, "") in
+  let reply status body = last := (status, body) in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Service.admit service ~reply line;
+    ignore (Sys.opaque_identity (Http.http_status (fst !last)))
+  done;
+  let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+  let r = Jsonx.parse_exn (snd !last) in
+  Alcotest.(check (option int))
+    "answered from the response cache" (Some 2)
+    (get_int [ "timing"; "cache_hits" ] r);
+  Alcotest.(check int) "status 200" 200 (fst (Http.http_status (fst !last)));
+  let stats = Service.stats_json service in
+  Alcotest.(check (list (option int)))
+    "each warm admit counts one hit, the cold solve one miss"
+    [ Some 1000; Some 1 ]
+    [
+      get_int [ "response_cache"; "hits" ] stats;
+      get_int [ "response_cache"; "misses" ] stats;
+    ];
+  if per_request >= 2000. then
+    Alcotest.failf "warm admit allocates %.0f minor words per request (budget 2000)"
+      per_request
+
 let test_queue_worker_drain () =
   with_cold_cache @@ fun () ->
   let service = Service.create ~queue_bound:8 ~log:ignore () in
@@ -630,7 +817,14 @@ let test_queue_worker_drain () =
     got;
   Alcotest.(check int) "queue drained" 0 (Service.queue_depth service);
   Alcotest.(check bool) "idle" true (Service.idle service);
-  check_partition (Service.stats_json service)
+  let stats = Service.stats_json service in
+  (* One counted response-cache lookup per request, whether its admission
+     probe hit or it missed there and the worker counted it. *)
+  Alcotest.(check (option int))
+    "one counted lookup per request" (Some 5)
+    (Option.bind (get_int [ "response_cache"; "hits" ] stats) (fun h ->
+         Option.map (( + ) h) (get_int [ "response_cache"; "misses" ] stats)));
+  check_partition stats
 
 (* ---------------------------- deadlines --------------------------- *)
 
@@ -1054,7 +1248,127 @@ let test_routing_key_ignores_per_call_knobs () =
   in
   Alcotest.(check bool)
     "a different spec routes differently" true
-    (key base <> key other)
+    (key base <> key other);
+  let key_of spec =
+    Service.routing_key
+      (Jsonx.Obj [ ("kind", Jsonx.String "cache"); ("spec", Jsonx.Obj spec) ])
+  in
+  Alcotest.(check bool)
+    "Int 45 and Float 45. route apart" true
+    (key_of [ ("tech_nm", Jsonx.Int 45) ]
+    <> key_of [ ("tech_nm", Jsonx.Float 45.) ]);
+  List.iter
+    (fun x ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%h and its successor route apart" x)
+        true
+        (key_of [ ("x", Jsonx.Float x) ]
+        <> key_of [ ("x", Jsonx.Float (Float.succ x)) ]))
+    [ 0.; -0.; 0.4; 45.; 1e-300; -2.5; 1e300 ];
+  Alcotest.(check bool)
+    "0. and -0. route apart" true
+    (key_of [ ("x", Jsonx.Float 0.) ] <> key_of [ ("x", Jsonx.Float (-0.)) ]);
+  let bits = Int64.bits_of_float 0.4 in
+  let flipped =
+    List.init 64 (fun k ->
+        key_of
+          [ ("x", Jsonx.Float (Int64.float_of_bits (Int64.logxor bits (Int64.shift_left 1L k)))) ])
+  in
+  Alcotest.(check int)
+    "every single-bit flip of a float routes apart" 65
+    (List.length (List.sort_uniq compare (key_of [ ("x", Jsonx.Float 0.4) ] :: flipped)))
+
+(* The routing key is a function of the canonical request — members
+   sorted at every level, [id] and the per-call knobs dropped — and tells
+   any two canonical requests apart: equal keys iff identical canonical
+   forms (floats bit for bit).  Pairs are drawn close: [b] is [a] with its
+   members shuffled at every level and knobs added, then, half the time,
+   one leaf replaced. *)
+let prop_routing_key_canonical =
+  let rec dedup = function
+    | Jsonx.Obj kvs ->
+        Jsonx.Obj
+          (List.rev
+             (List.fold_left
+                (fun acc (k, v) ->
+                  if List.mem_assoc k acc then acc else (k, dedup v) :: acc)
+                [] kvs))
+    | Jsonx.List l -> Jsonx.List (List.map dedup l)
+    | v -> v
+  in
+  let rec canon = function
+    | Jsonx.Obj kvs ->
+        Jsonx.Obj
+          (List.stable_sort
+             (fun (a, _) (b, _) -> String.compare a b)
+             (List.map (fun (k, v) -> (k, canon v)) kvs))
+    | Jsonx.List l -> Jsonx.List (List.map canon l)
+    | v -> v
+  in
+  let rec shuffle rs = function
+    | Jsonx.Obj kvs ->
+        let tagged = List.map (fun kv -> (Random.State.bits rs, kv)) kvs in
+        Jsonx.Obj
+          (List.map
+             (fun (_, (k, v)) -> (k, shuffle rs v))
+             (List.sort (fun (a, _) (b, _) -> compare a b) tagged))
+    | Jsonx.List l -> Jsonx.List (List.map (shuffle rs) l)
+    | v -> v
+  in
+  (* Replace the [n]th leaf (in document order) by [leaf]. *)
+  let replace_leaf v n leaf =
+    let i = ref (-1) in
+    let rec go = function
+      | Jsonx.List l -> Jsonx.List (List.map go l)
+      | Jsonx.Obj kvs -> Jsonx.Obj (List.map (fun (k, v) -> (k, go v)) kvs)
+      | v ->
+          incr i;
+          if !i = n then leaf else v
+    in
+    go v
+  in
+  let request ?(knobs = []) ?(id = Jsonx.Int 1) spec params =
+    let params =
+      match params with Jsonx.Obj kvs -> Jsonx.Obj (kvs @ knobs) | p -> p
+    in
+    Jsonx.Obj
+      [ ("id", id); ("kind", Jsonx.String "ram"); ("params", params); ("spec", spec) ]
+  in
+  let drop_knobs = function
+    | Jsonx.Obj kvs ->
+        Jsonx.Obj
+          (List.filter (fun (k, _) -> k <> "deadline_ms" && k <> "jobs") kvs)
+    | p -> p
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (QCheck.gen jsonx_arb) (QCheck.gen jsonx_arb) int
+        (pair bool (QCheck.gen jsonx_arb)))
+  in
+  QCheck.Test.make ~name:"routing key = canonical identity" ~count:1000
+    (QCheck.make gen) (fun (spec, params, seed, (replace, leaf)) ->
+      let spec = dedup spec and params = dedup params in
+      let rs = Random.State.make [| seed |] in
+      let spec' = shuffle rs spec and params' = shuffle rs params in
+      let spec', params' =
+        if not replace then (spec', params')
+        else if Random.State.bool rs then
+          (replace_leaf spec' (Random.State.int rs 8) leaf, params')
+        else (spec', replace_leaf params' (Random.State.int rs 8) leaf)
+      in
+      let a = request spec params in
+      let b =
+        request ~id:leaf
+          ~knobs:[ ("deadline_ms", Jsonx.Int 5); ("jobs", leaf) ]
+          spec' params'
+      in
+      let same_canon =
+        json_identical (canon spec) (canon spec')
+        && json_identical (canon (drop_knobs params)) (canon (drop_knobs params'))
+      in
+      Bool.equal
+        (String.equal (Service.routing_key a) (Service.routing_key b))
+        same_canon)
 
 (* --------------------------- retry_after -------------------------- *)
 
@@ -1152,26 +1466,56 @@ let test_http_keep_alive () =
     "1.0 keep-alive honoured" true
     (Http.keep_alive (req ~version:"HTTP/1.0" [ ("connection", "keep-alive") ]))
 
+(* The status a response carries to the transport maps to the same HTTP
+   status and headers the reference classifier derives from its body —
+   on every kind of reply the service produces.  The collector makes the
+   comparison for each reply. *)
 let test_http_status_of_body () =
-  let ok_line = {|{"id":1,"ok":true,"solution":{},"timing":{"wall_ms":0.1,"cache_hits":2}}|} in
-  Alcotest.(check int) "ok -> 200" 200 (fst (Http.status_of_body ok_line));
-  (* per-request errors stay in-band *)
-  let invalid =
-    {|{"id":1,"ok":false,"diagnostics":[{"severity":"error","component":"cache_spec","reason":"non_pow2_block","message":"x"}],"timing":{"wall_ms":0.1,"cache_hits":0}}|}
+  with_cold_cache @@ fun () ->
+  let retry ms =
+    List.assoc_opt "Retry-After" (snd (Http.http_status (Service.Queue_full ms)))
   in
-  Alcotest.(check int) "invalid spec -> 200" 200 (fst (Http.status_of_body invalid));
-  let queue_full =
-    {|{"id":7,"ok":false,"diagnostics":[{"severity":"error","component":"serve","reason":"queue_full","message":"x"}],"retry_after_ms":1800.5,"timing":{"wall_ms":0.1,"cache_hits":0}}|}
-  in
-  let status, extra = Http.status_of_body queue_full in
-  Alcotest.(check int) "queue_full -> 429" 429 status;
-  Alcotest.(check (option string))
-    "Retry-After rounds up to seconds" (Some "2")
-    (List.assoc_opt "Retry-After" extra);
-  let draining =
-    {|{"id":7,"ok":false,"diagnostics":[{"severity":"error","component":"serve","reason":"draining","message":"x"}],"timing":{"wall_ms":0.1,"cache_hits":0}}|}
-  in
-  Alcotest.(check int) "draining -> 503" 503 (fst (Http.status_of_body draining))
+  Alcotest.(check (option string)) "Retry-After rounds up" (Some "2") (retry 1800.5);
+  Alcotest.(check (option string)) "Retry-After at least 1" (Some "1") (retry 0.3);
+  Alcotest.(check int) "draining -> 503" 503 (fst (Http.http_status Service.Draining));
+  Alcotest.(check int) "answered -> 200" 200 (fst (Http.http_status Service.Answered));
+  let service = Service.create ~queue_bound:2 ~log:ignore () in
+  let reply, replies = collector () in
+  let spec = {|"spec":{"tech_nm":45,"capacity_bytes":65536,"assoc":4}|} in
+  (* No worker yet: a parse error answers inline, two cold requests fill
+     the queue (the second with a deadline that expires there), a third
+     is refused queue_full. *)
+  Service.admit service ~reply "{nope";
+  Service.admit service ~reply
+    (Printf.sprintf {|{"id":{"ok":false},"kind":"cache",%s}|} spec);
+  Service.admit service ~reply (big_cache_req ~id:2 ~deadline_ms:1. ());
+  Service.admit service ~reply (cache_req ~id:3);
+  Unix.sleepf 0.02;
+  let worker = Thread.create (fun () -> Service.run_worker service) () in
+  wait_for (fun () -> List.length (replies ()) >= 4);
+  Service.admit service ~reply
+    {|{"id":4,"kind":"cache","spec":{"tech_nm":45,"capacity_bytes":65536,"assoc":4,"block_bytes":48}}|};
+  Service.admit service ~reply
+    {|{"id":5,"kind":"mainmem","spec":{"tech_nm":45,"capacity_bits":524288,"n_banks":1,"page_bits":65536}}|};
+  wait_for (fun () -> List.length (replies ()) >= 6);
+  (* A warm hit answered at admission, its id text spelling "ok":false. *)
+  Service.admit service ~reply
+    (Printf.sprintf {|{"id":"\"ok\":false","kind":"cache",%s}|} spec);
+  Service.begin_drain service;
+  Service.admit service ~reply (cache_req ~id:7);
+  Service.stop_workers service;
+  Thread.join worker;
+  let got = List.map Jsonx.parse_exn (replies ()) in
+  let reasons = List.concat_map reasons_of got in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) ("reply with reason " ^ r) true (List.mem r reasons))
+    [ "parse_error"; "queue_full"; "deadline_exceeded"; "non_pow2_block";
+      "no_solution"; "draining" ];
+  Alcotest.(check int)
+    "two ok replies" 2
+    (List.length (List.filter (fun r -> get_bool [ "ok" ] r = Some true) got));
+  Alcotest.(check int) "eight replies" 8 (List.length got)
 
 (* A minimal raw-socket HTTP client: one exchange, returns (status,
    headers, body).  Deliberately independent of Http's own parser. *)
@@ -1396,6 +1740,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_jsonx_parse_errors;
           Alcotest.test_case "number policy" `Quick test_jsonx_numbers;
           QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
+          QCheck_alcotest.to_alcotest prop_jsonx_floats_print_as_reference;
+          QCheck_alcotest.to_alcotest prop_jsonx_numbers_match_reference;
+          QCheck_alcotest.to_alcotest prop_jsonx_values_match_reference;
+          QCheck_alcotest.to_alcotest prop_jsonx_mutations_match_reference;
         ] );
       ( "protocol",
         [
@@ -1424,6 +1772,8 @@ let () =
         [
           Alcotest.test_case "backpressure" `Quick test_queue_backpressure;
           Alcotest.test_case "worker drain" `Quick test_queue_worker_drain;
+          Alcotest.test_case "warm admit allocation budget" `Quick
+            test_warm_admit_allocation;
         ] );
       ( "deadline",
         [
@@ -1459,6 +1809,7 @@ let () =
             test_sharded_bit_identity;
           Alcotest.test_case "routing key" `Quick
             test_routing_key_ignores_per_call_knobs;
+          QCheck_alcotest.to_alcotest prop_routing_key_canonical;
           Alcotest.test_case "rate-based retry hint" `Quick
             test_retry_after_rate_based;
         ] );
